@@ -85,6 +85,20 @@ def record_std(state: OptimizerState, std: float) -> OptimizerState:
     return state
 
 
+def adam_update(m, v, t: int, g, lr: float):
+    """One bias-corrected Adam update at step ``t`` (1-based).
+
+    Returns ``(lr * m_hat / (sqrt(v_hat) + eps), m, v)``: the parameter
+    increment and the new first and second moments. A negative ``lr``
+    descends the gradient, a positive one ascends it.
+    """
+    m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+    v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
+    m_hat = m / (1.0 - ADAM_BETA1 ** t)
+    v_hat = v / (1.0 - ADAM_BETA2 ** t)
+    return lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS), m, v
+
+
 def step(pos, gradient, state: OptimizerState,
          domain: Domain) -> tuple[np.ndarray, OptimizerState]:
     """One motion update down the gradient, clipped to v_max and the workspace.
@@ -105,11 +119,8 @@ def step(pos, gradient, state: OptimizerState,
         new_state = state
     else:
         t = state.adam_t + 1
-        m = ADAM_BETA1 * np.asarray(state.adam_m) + (1.0 - ADAM_BETA1) * g
-        v = ADAM_BETA2 * np.asarray(state.adam_v) + (1.0 - ADAM_BETA2) * g * g
-        m_hat = m / (1.0 - ADAM_BETA1 ** t)
-        v_hat = v / (1.0 - ADAM_BETA2 ** t)
-        disp = -state.eta_adam * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        disp, m, v = adam_update(np.asarray(state.adam_m), np.asarray(state.adam_v), t, g,
+                                 -state.eta_adam)
         new_state = replace(state, adam_m=tuple(m), adam_v=tuple(v), adam_t=t)
 
     speed = float(np.linalg.norm(disp))

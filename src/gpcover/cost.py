@@ -55,35 +55,27 @@ class CellCostReport:
     grad_expected: np.ndarray
     grad_std: np.ndarray
     grad_total: np.ndarray
-    mass: float
-    centroid: np.ndarray
+
+
+def _weighted_nodes(cell: CellPixels, idx) -> tuple[np.ndarray, np.ndarray]:
+    """The cell's nodes at ``idx``, each weighted by an equal share of the cell area."""
+    k = len(cell)
+    if len(idx) == k:
+        return cell.centers, np.full(k, cell.pixel_area)
+    return cell.centers[idx], np.full(len(idx), k * cell.pixel_area / len(idx))
 
 
 def _single_nodes(cell: CellPixels, stride: int) -> tuple[np.ndarray, np.ndarray]:
-    k = len(cell)
-    idx = np.arange(0, k, stride)
-    if len(idx) == k:
-        return cell.centers, np.full(k, cell.pixel_area)
-    weight = k * cell.pixel_area / len(idx)
-    return cell.centers[idx], np.full(len(idx), weight)
+    return _weighted_nodes(cell, np.arange(0, len(cell), stride))
 
 
 def _pair_nodes(cell: CellPixels, budget: int) -> tuple[np.ndarray, np.ndarray]:
     k = len(cell)
     if k <= budget:
-        return cell.centers, np.full(k, cell.pixel_area)
-    idx = np.unique(np.round(np.linspace(0, k - 1, budget)).astype(np.int64))
-    weight = k * cell.pixel_area / len(idx)
-    return cell.centers[idx], np.full(len(idx), weight)
-
-
-def _expected_terms(nodes, weights, mu_clipped, pos):
-    diff = nodes - pos
-    g = (diff ** 2).sum(axis=1)
-    mw = mu_clipped * weights
-    value = 0.5 * float(g @ mw)
-    grad = -(diff * mw[:, None]).sum(axis=0)
-    return value, grad
+        idx = np.arange(k)
+    else:
+        idx = np.unique(np.round(np.linspace(0, k - 1, budget)).astype(np.int64))
+    return _weighted_nodes(cell, idx)
 
 
 def expected_cost(cell: CellPixels, agent_pos, gp: SparseGP,
@@ -98,7 +90,10 @@ def expected_cost(cell: CellPixels, agent_pos, gp: SparseGP,
         return 0.0, np.zeros(2)
     nodes, weights = _single_nodes(cell, quad.single_stride)
     mu = np.maximum(posterior_mean(gp, nodes), 0.0)
-    return _expected_terms(nodes, weights, mu, pos)
+    diff = nodes - pos
+    g = (diff ** 2).sum(axis=1)
+    mw = mu * weights
+    return 0.5 * float(g @ mw), -(diff * mw[:, None]).sum(axis=0)
 
 
 def variance_cost(cell: CellPixels, agent_pos, gp: SparseGP,
@@ -139,17 +134,11 @@ def mass_centroid(cell: CellPixels, values) -> tuple[float, np.ndarray]:
     vals = np.asarray(values, dtype=float).reshape(-1)
     if len(vals) != len(cell):
         raise ValueError(f"expected {len(cell)} values, got {len(vals)}")
-    weights = np.full(len(cell), cell.pixel_area)
-    return _weighted_mass_centroid(cell.centers, vals, weights, cell.geometric_center)
-
-
-def _weighted_mass_centroid(nodes, values, weights, fallback):
-    vw = values * weights
+    vw = vals * cell.pixel_area
     mass = float(vw.sum())
     if mass < _MASS_FLOOR:
-        return mass, np.array(fallback, dtype=float)
-    centroid = (nodes * vw[:, None]).sum(axis=0) / mass
-    return mass, centroid
+        return mass, np.array(cell.geometric_center, dtype=float)
+    return mass, (cell.centers * vw[:, None]).sum(axis=0) / mass
 
 
 def cell_cost_report(cell: CellPixels, agent_pos, gp: SparseGP,
@@ -157,24 +146,13 @@ def cell_cost_report(cell: CellPixels, agent_pos, gp: SparseGP,
     """Full cost evaluation: expected term, exploration term, and their sum.
 
     ``total = expected + sqrt(beta) * std`` and likewise for the gradients.
-    Mass and centroid come from the clipped posterior mean on the
-    single-integral nodes. An empty cell yields a zero report centered at
-    the agent's own position.
+    An empty cell yields an all-zero report.
     """
-    pos = np.asarray(agent_pos, dtype=float).reshape(2)
-    if len(cell) == 0:
-        zero = np.zeros(2)
-        return CellCostReport(0.0, 0.0, 0.0, zero, zero.copy(), zero.copy(), 0.0, pos.copy())
-    nodes, weights = _single_nodes(cell, quad.single_stride)
-    mu = np.maximum(posterior_mean(gp, nodes), 0.0)
-    expected, grad_expected = _expected_terms(nodes, weights, mu, pos)
-    mass, centroid = _weighted_mass_centroid(nodes, mu, weights, cell.geometric_center)
-    std, grad_std = variance_cost(cell, pos, gp, quad)
+    expected, grad_expected = expected_cost(cell, agent_pos, gp, quad)
+    std, grad_std = variance_cost(cell, agent_pos, gp, quad)
     root_beta = float(np.sqrt(quad.beta))
-    total = expected + root_beta * std
-    grad_total = grad_expected + root_beta * grad_std
-    return CellCostReport(expected, std, total, grad_expected, grad_std, grad_total,
-                          mass, centroid)
+    return CellCostReport(expected, std, expected + root_beta * std, grad_expected, grad_std,
+                          grad_expected + root_beta * grad_std)
 
 
 def true_locational_cost(positions, partition: VoronoiPartition,

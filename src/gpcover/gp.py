@@ -1,19 +1,20 @@
 """Sparse Gaussian-process regression with incremental inverse updates.
 
 Each agent keeps a GP conditioned on a small set of inducing observations
-(a subset of everything it has seen or received). The gram-matrix inverse is
-cached and extended one point at a time by a block-inverse identity, so the
-per-point cost of growing the model is quadratic in the set size instead of
-cubic.
+(a subset of everything it has seen or received), with the gram-matrix
+inverse cached. Greedy inducing selection extends that inverse one point at
+a time by a block-inverse identity, so the per-point cost of growing the set
+is quadratic in its size instead of cubic.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
+from .control import adam_update
 from .errors import SingularityError
 
 # Schur complements below this are treated as rank-deficient extensions.
@@ -22,9 +23,6 @@ SCHUR_FLOOR = 1e-12
 # escalating relative jitter, used only when a from-scratch factorization fails
 _FALLBACK_JITTER = (1e-12, 1e-10, 1e-8)
 
-_ADAM_BETA1 = 0.9
-_ADAM_BETA2 = 0.999
-_ADAM_EPS = 1e-8
 # log-parameters are clipped here to keep exp() finite during refits
 _LOG_BOUND = 40.0
 
@@ -45,14 +43,6 @@ class Hyperparams:
             raise ValueError(f"signal_variance must be positive, got {self.signal_variance}")
         if self.noise_variance < 0:
             raise ValueError(f"noise_variance must be non-negative, got {self.noise_variance}")
-
-
-def kernel(a, b, hyper: Hyperparams) -> float:
-    """Squared-exponential covariance between two points."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    d2 = float(np.sum((a - b) ** 2))
-    return hyper.signal_variance * math.exp(-d2 / (2.0 * hyper.lengthscale ** 2))
 
 
 def kernel_matrix(a, b, hyper: Hyperparams) -> np.ndarray:
@@ -129,26 +119,6 @@ class SparseGP:
     def with_hyper(self, hyper: Hyperparams) -> "SparseGP":
         """Recondition the same inducing rows under new hyperparameters."""
         return SparseGP.fit(self.inducing, hyper)
-
-    def inverse_residual(self) -> float:
-        """Frobenius distance of ``inv_gram @ (K + noise I)`` from the identity."""
-        m = len(self.points)
-        if m == 0:
-            return 0.0
-        gram = kernel_matrix(self.points, self.points, self.hyper) \
-            + self.hyper.noise_variance * np.eye(m)
-        return float(np.linalg.norm(self.inv_gram @ gram - np.eye(m)))
-
-    def extended(self, point, value: float) -> "SparseGP":
-        """Return a copy with one more inducing row, updating the inverse in O(m^2)."""
-        new_inv = smw_extend(self.inv_gram, self.points, point, self.hyper)
-        p = np.asarray(point, dtype=float).reshape(1, 2)
-        return replace(
-            self,
-            points=np.concatenate([self.points, p]),
-            values=np.concatenate([self.values, [float(value)]]),
-            inv_gram=new_inv,
-        )
 
 
 def posterior(gp: SparseGP, query) -> tuple[np.ndarray, np.ndarray]:
@@ -321,11 +291,8 @@ def refit_hyperparams(gp: SparseGP, steps: int, learning_rate: float = 0.05) -> 
             return gp.hyper
         if not (math.isfinite(lml) and np.all(np.isfinite(grad))):
             return gp.hyper
-        m = _ADAM_BETA1 * m + (1.0 - _ADAM_BETA1) * grad
-        v = _ADAM_BETA2 * v + (1.0 - _ADAM_BETA2) * grad * grad
-        m_hat = m / (1.0 - _ADAM_BETA1 ** t)
-        v_hat = v / (1.0 - _ADAM_BETA2 ** t)
-        theta = theta + learning_rate * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
+        delta, m, v = adam_update(m, v, t, grad, learning_rate)
+        theta = theta + delta
         theta = np.clip(theta, -_LOG_BOUND, _LOG_BOUND)
     l, sv, nv = np.exp(theta)
     if not all(map(math.isfinite, (l, sv, nv))):

@@ -11,7 +11,7 @@ does not sanction is recorded and fails the run.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,27 +38,6 @@ def sample_density(field: DensityField, position, noise_sigma: float, rng) -> fl
     noise settings.
     """
     return bilinear(field, position) + float(rng.normal(0.0, noise_sigma))
-
-
-class SampleBuffer:
-    """Per-agent scratch of ``(x, y, value)`` observations since the last refresh."""
-
-    def __init__(self):
-        self._rows: list[tuple[float, float, float]] = []
-
-    def append(self, position, value: float) -> None:
-        self._rows.append((float(position[0]), float(position[1]), float(value)))
-
-    def clear(self) -> None:
-        self._rows.clear()
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def as_array(self) -> np.ndarray:
-        if not self._rows:
-            return np.zeros((0, 3))
-        return np.array(self._rows)
 
 
 class AccessAudit:
@@ -119,13 +98,16 @@ class AccessAudit:
 
 @dataclass(repr=False, eq=False)
 class AgentState:
-    """One agent's private state; reads are reported to the audit when present."""
+    """One agent's private state; reads are reported to the audit when present.
+
+    ``buffer`` holds the ``(x, y, value)`` observations since the last refresh.
+    """
 
     id: int
     pos: np.ndarray
     hyper: Hyperparams
     gp: SparseGP
-    buffer: SampleBuffer
+    buffer: list[tuple[float, float, float]]
     opt: OptimizerState
     audit: AccessAudit | None = None
 
@@ -147,7 +129,7 @@ class SimTrace:
     rmse: np.ndarray
     messages: np.ndarray
     positions: np.ndarray
-    inducing_counts: np.ndarray = dataclass_field(default=None)  # type: ignore[assignment]
+    inducing_counts: np.ndarray
 
     @property
     def n_agents(self) -> int:
@@ -240,7 +222,7 @@ def _init_agents(config: SimConfig, domain: Domain, field: DensityField,
         gp = SparseGP.fit(inducing, hyper)
         opt = OptimizerState(eta=config.eta, eta_adam=config.eta_adam, v_max=config.v_max,
                              k=config.k, epsilon=config.epsilon)
-        agents.append(AgentState(i, positions[i].copy(), hyper, gp, SampleBuffer(), opt, audit))
+        agents.append(AgentState(i, positions[i].copy(), hyper, gp, [], opt, audit))
     return agents
 
 
@@ -309,7 +291,7 @@ def run(config: SimConfig, audit: AccessAudit | None = None, sample_probe=None) 
         for i, agent in enumerate(agents):
             with audit.agent(i):
                 value = sample_density(field, agent.pos, noise_sigma, noise_rngs[i])
-                agent.buffer.append(agent.pos, value)
+                agent.buffer.append((*agent.pos, value))
         if sample_probe is not None:
             with audit.metrics():
                 sample_probe(t, agents)
@@ -324,7 +306,7 @@ def run(config: SimConfig, audit: AccessAudit | None = None, sample_probe=None) 
             for i, agent in enumerate(agents):
                 with audit.agent(i):
                     received = [shared[j] for j in partition.neighbors[i]]
-                    merged = merge_inducing(agent.gp.inducing, agent.buffer.as_array(), received)
+                    merged = merge_inducing(agent.gp.inducing, agent.buffer, received)
                     selected = greedy_select(merged, config.M, agent.hyper)
                     agent.gp = SparseGP.fit(selected, agent.hyper)
                     if config.refit_steps > 0:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gpcover import Domain, OptimizerState, Phase, plateau_detected, record_std, step
+from gpcover.control import adam_update
 
 from oracles import adam_reference
 
@@ -111,6 +112,15 @@ def test_adam_steps_match_the_scalar_recurrence():
         np.testing.assert_allclose(new_pos - pos, [ref_x[t], ref_y[t]], atol=1e-12)
         pos = new_pos
     assert state.adam_t == 4
+    # the hyperparameter refit's direction: a positive learning rate ascends,
+    # one independent recurrence per component
+    lr = 0.05
+    grads = np.array([(0.5, -1.0, 2.0), (0.4, -0.8, -3.0), (0.6, -1.2, 0.1), (0.2, 0.3, 1e-3)])
+    refs = [adam_reference(grads[:, c], eta=lr) for c in range(3)]
+    m = v = np.zeros(3)
+    for t, g in enumerate(grads, start=1):
+        delta, m, v = adam_update(m, v, t, g, lr)
+        np.testing.assert_allclose(delta, [-ref[t - 1] for ref in refs], atol=1e-12)
 
 
 def test_first_adam_step_is_one_learning_rate_per_axis():

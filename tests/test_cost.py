@@ -147,7 +147,8 @@ def test_adding_an_observation_never_increases_the_std():
     domain, cell = _whole_grid_cell(10, 10)
     gp = _seeded_gp(rng, domain, n=5)
     std_before, _ = variance_cost(cell, [5.0, 5.0], gp, FULL)
-    extended = gp.extended(rng.uniform(0, 10, size=2), 1.0)
+    extended = SparseGP.fit(np.vstack([gp.inducing, [*rng.uniform(0, 10, size=2), 1.0]]),
+                            gp.hyper)
     std_after, _ = variance_cost(cell, [5.0, 5.0], extended, FULL)
     assert std_after <= std_before + 1e-9
 
@@ -211,8 +212,6 @@ def test_report_of_empty_cell_is_zero_at_the_agent():
     gp = SparseGP.fit(np.zeros((0, 3)), Hyperparams(1.0, 1.0, 0.1))
     report = cell_cost_report(cell, [5.0, 5.0], gp, FULL)
     assert report.expected == report.std == report.total == 0.0
-    assert report.mass == 0.0
-    np.testing.assert_array_equal(report.centroid, [5.0, 5.0])
     np.testing.assert_array_equal(report.grad_total, [0.0, 0.0])
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gpcover import (AccessAudit, AgentState, ConfigurationError, DecentralizationError,
-                     Domain, Hyperparams, OptimizerState, SampleBuffer, SimConfig,
+                     Domain, Hyperparams, OptimizerState, SimConfig,
                      SparseGP, bilinear, build_scenario, compute_partition,
                      initial_positions, run, run_lloyd_baseline, sample_density)
 
@@ -111,6 +111,33 @@ def test_runs_are_bit_identical_for_the_same_config(tmp_path):
     assert path_a.read_bytes() == path_b.read_bytes()
 
 
+def test_refit_run_reproduces_its_recorded_numbers():
+    # acceptance 8's small hotspots config with the hyperparameter refit on;
+    # the literals pin the numerics, so a refactor that moves them shows here
+    config = SimConfig(width=96, height=54, scenario="hotspots", n_agents=4, seed=11,
+                       rounds=20, T=5, M=40, refit_steps=3, single_stride=4,
+                       pair_budget=128, rmse_stride=16)
+    trace = run(config)
+    np.testing.assert_allclose(trace.true_cost, [
+        43680075.059832945, 35055829.33477037, 29734440.219142687, 31744844.478424624,
+        30272341.514998518, 31718441.84134607, 30187762.419174902, 30194774.706441477,
+        30328084.497387394, 31020801.043986358, 30034584.239149854, 31391415.878088757,
+        30224408.870196022, 31723177.250358887, 30056130.390507888, 32479156.10677703,
+        29833637.31434256, 32109185.799248017, 29683502.667298377, 32149403.19272884,
+    ], rtol=1e-9)
+    np.testing.assert_allclose(trace.rmse, [
+        66.5861324907505, 66.58881360415154, 66.58964379787794, 66.59000683272352,
+        66.59018958170813, 64.53997095287527, 64.54606517274033, 64.5483170350374,
+        64.5493834100572, 64.5499659264336, 57.470077825529216, 57.46535927396721,
+        57.4643648279233, 57.46411733702478, 57.464037976629584, 51.594107472664106,
+        51.6065251715404, 51.61091903688499, 51.61285824712805, 51.613880666156646,
+    ], rtol=1e-9)
+    np.testing.assert_allclose(trace.positions[-1], [
+        [69.49611185170136, 38.223215896580804], [62.81006081297745, 14.663922925651342],
+        [23.703036366244294, 13.78393530963793], [27.45922614492184, 39.6076164965817],
+    ], rtol=1e-9)
+
+
 def test_different_seeds_give_different_runs():
     trace_a = run(TINY)
     trace_b = run(TINY.with_overrides(seed=6))
@@ -146,7 +173,7 @@ def test_audit_flags_unsanctioned_reads():
     audit = AccessAudit()
     hyper = Hyperparams(1.0, 1.0, 0.1)
     agent = AgentState(0, np.zeros(2), hyper, SparseGP.fit(np.zeros((0, 3)), hyper),
-                       SampleBuffer(), OptimizerState(), audit)
+                       [], OptimizerState(), audit)
     _ = agent.pos  # engine context: positions are fair game
     assert audit.violations == []
     _ = agent.gp  # engine context must not see models
