@@ -91,7 +91,6 @@ def _apply_overrides(config: SimConfig, args) -> SimConfig:
 def _cmd_run(args) -> int:
     config = load_config(args.config) if args.config else SimConfig()
     config = _apply_overrides(config, args)
-    config.validate()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 

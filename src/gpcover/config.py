@@ -91,6 +91,12 @@ class SimConfig:
              f"cluster_corner must be one of {_CORNERS}, got {self.cluster_corner!r}"),
             (self.noise_sigma is None or self.noise_sigma >= 0,
              f"noise_sigma must be non-negative, got {self.noise_sigma}"),
+            (self.lengthscale0 is None or self.lengthscale0 > 0,
+             f"lengthscale0 must be positive, got {self.lengthscale0}"),
+            (self.signal_variance0 is None or self.signal_variance0 > 0,
+             f"signal_variance0 must be positive, got {self.signal_variance0}"),
+            (self.noise_variance0 is None or self.noise_variance0 >= 0,
+             f"noise_variance0 must be non-negative, got {self.noise_variance0}"),
         ]
         for ok, message in checks:
             if not ok:

@@ -164,10 +164,15 @@ def build_scenario(name: str, domain: Domain, params: dict | None = None) -> Den
     """
     if name == "custom":
         params = params or {}
-        blobs = tuple(GaussianBlob((float(b[0]), float(b[1])), float(b[2]), float(b[3]))
-                      for b in params.get("blobs", ()))
-        background = float(params.get("background", 0.0))
-        return DensityField.from_mixture(domain, GaussianMixture(blobs, background))
+        if not isinstance(params, dict):
+            raise ConfigurationError(f"custom scenario params must be a mapping, got {params!r}")
+        try:
+            blobs = tuple(GaussianBlob((float(b[0]), float(b[1])), float(b[2]), float(b[3]))
+                          for b in params.get("blobs", ()))
+            background = float(params.get("background", 0.0))
+            return DensityField.from_mixture(domain, GaussianMixture(blobs, background))
+        except (ValueError, TypeError, IndexError) as exc:
+            raise ConfigurationError(f"custom scenario params {params}: {exc}") from exc
     if name not in _SCENARIOS:
         known = ", ".join(sorted([*_SCENARIOS, "custom"]))
         raise ConfigurationError(f"unknown scenario {name!r}; expected one of: {known}")

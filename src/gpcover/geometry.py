@@ -91,10 +91,6 @@ class VoronoiPartition:
     neighbors: tuple[tuple[int, ...], ...]
     laplacian: np.ndarray
 
-    @property
-    def n_agents(self) -> int:
-        return len(self.cells)
-
     def edges(self) -> list[tuple[int, int]]:
         """Undirected neighbor pairs ``(i, j)`` with ``i < j``."""
         return [(i, j) for i, nbrs in enumerate(self.neighbors) for j in nbrs if i < j]

@@ -45,14 +45,12 @@ class Hyperparams:
             raise ValueError(f"noise_variance must be non-negative, got {self.noise_variance}")
 
 
-def kernel_matrix(a, b, hyper: Hyperparams) -> np.ndarray:
-    """Cross-covariance matrix between two point sets, shape ``(len(a), len(b))``.
+def _squared_distances(a, b) -> np.ndarray:
+    """Pairwise squared distances between two point sets, ``(len(a), len(b))``.
 
-    Squared distances are accumulated one coordinate axis at a time into a
-    single ``(len(a), len(b))`` buffer, which the scaling, ``exp`` and
-    signal variance then overwrite in place. This gives the same bits as
-    summing a ``(len(a), len(b), dim)`` difference tensor over its last
-    axis, without allocating it.
+    Accumulated one coordinate axis at a time into a single buffer. This
+    gives the same bits as summing a ``(len(a), len(b), dim)`` difference
+    tensor over its last axis, without allocating it.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
@@ -62,6 +60,12 @@ def kernel_matrix(a, b, hyper: Hyperparams) -> np.ndarray:
         diff = np.subtract.outer(a[:, axis], b[:, axis])
         diff *= diff
         d2 += diff
+    return d2
+
+
+def kernel_matrix(a, b, hyper: Hyperparams) -> np.ndarray:
+    """Cross-covariance matrix between two point sets, shape ``(len(a), len(b))``."""
+    d2 = _squared_distances(a, b)
     d2 /= -2.0 * hyper.lengthscale ** 2
     np.exp(d2, out=d2)
     d2 *= hyper.signal_variance
@@ -248,8 +252,8 @@ def log_marginal_likelihood(points, values, hyper: Hyperparams):
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     y = np.asarray(values, dtype=float).reshape(-1) - hyper.prior_mean
     n = len(pts)
-    d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1)
-    kf = hyper.signal_variance * np.exp(-d2 / (2.0 * hyper.lengthscale ** 2))
+    d2 = _squared_distances(pts, pts)
+    kf = kernel_matrix(pts, pts, hyper)
     gram = kf + hyper.noise_variance * np.eye(n)
     chol = np.linalg.cholesky(gram)
     alpha = np.linalg.solve(gram, y)

@@ -209,9 +209,8 @@ def _initial_hyper(config: SimConfig, domain: Domain, field: DensityField,
     return Hyperparams(base_l * f_l, base_sv * f_sv, base_nv * f_nv, config.prior_mean0)
 
 
-def _init_agents(config: SimConfig, domain: Domain, field: DensityField,
-                 noise_sigma: float, audit: AccessAudit) -> list[AgentState]:
-    positions = initial_positions(config, domain)
+def _init_agents(config: SimConfig, domain: Domain, field: DensityField, noise_sigma: float,
+                 positions: np.ndarray, audit: AccessAudit) -> list[AgentState]:
     seeds = config.initial_inducing
     if seeds is not None and len(seeds) != config.n_agents:
         raise ConfigurationError("initial_inducing must provide one block per agent")
@@ -233,6 +232,32 @@ def _metric_grid(domain: Domain, field: DensityField, stride: int):
     return pts, field.values[::stride, ::stride].ravel()
 
 
+def _rollout(config: SimConfig, domain: Domain, field: DensityField,
+             positions: np.ndarray, advance) -> SimTrace:
+    """The round loop of both runs: move the team, re-partition, log and score.
+
+    ``advance(t, positions, partition)`` moves the whole team through round
+    ``t`` and returns ``(new_positions, rmse, messages, inducing_counts)``;
+    the partition of the new positions carries into the next round.
+    """
+    rounds, n = config.rounds, len(positions)
+    true_cost = np.empty(rounds)
+    rmse = np.empty(rounds)
+    messages = np.zeros(rounds, dtype=np.int64)
+    positions_log = np.empty((rounds, n, 2))
+    inducing_counts = np.zeros((rounds, n), dtype=np.int64)
+
+    current = positions
+    partition = compute_partition(current, domain)
+    for t in range(config.rounds):
+        current, rmse[t], messages[t], inducing_counts[t] = advance(t, current, partition)
+        partition = compute_partition(current, domain)
+        positions_log[t] = current
+        true_cost[t] = true_locational_cost(current, partition, field)
+    return SimTrace(positions.copy(), np.arange(1, rounds + 1), true_cost, rmse, messages,
+                    positions_log, inducing_counts)
+
+
 def run(config: SimConfig, audit: AccessAudit | None = None, sample_probe=None) -> SimTrace:
     """Run the decentralized method for ``config.rounds`` synchronous rounds.
 
@@ -250,7 +275,8 @@ def run(config: SimConfig, audit: AccessAudit | None = None, sample_probe=None) 
     if audit is None:
         audit = AccessAudit()
 
-    agents = _init_agents(config, domain, field, noise_sigma, audit)
+    positions = initial_positions(config, domain)
+    agents = _init_agents(config, domain, field, noise_sigma, positions, audit)
     noise_rngs = [
         np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(1, i)))
         for i in range(config.n_agents)
@@ -259,18 +285,7 @@ def run(config: SimConfig, audit: AccessAudit | None = None, sample_probe=None) 
     consensus_cfg = ConsensusConfig(config.alpha, config.log_space_consensus)
     metric_pts, metric_phi = _metric_grid(domain, field, config.rmse_stride)
 
-    n = config.n_agents
-    init_positions = np.array([a.pos for a in agents])
-    steps = np.arange(1, config.rounds + 1)
-    true_cost = np.empty(config.rounds)
-    rmse = np.empty(config.rounds)
-    messages = np.zeros(config.rounds, dtype=np.int64)
-    positions_log = np.empty((config.rounds, n, 2))
-    inducing_counts = np.zeros((config.rounds, n), dtype=np.int64)
-
-    partition = compute_partition([a.pos for a in agents], domain)
-
-    for t in range(config.rounds):
+    def advance(t, positions, partition):
         audit.round = t
         messages_before = len(audit.messages)
         edges = partition.edges()
@@ -324,26 +339,18 @@ def run(config: SimConfig, audit: AccessAudit | None = None, sample_probe=None) 
                 agent.pos, agent.opt = control_step(agent.pos, report.grad_total,
                                                     agent.opt, domain)
 
-        # end-of-round bookkeeping; the new partition carries into the next round
         current = np.array([a.pos for a in agents])
-        partition = compute_partition(current, domain)
-        positions_log[t] = current
-        true_cost[t] = true_locational_cost(current, partition, field)
         with audit.metrics():
-            errs = []
-            for agent in agents:
-                mu = posterior_mean(agent.gp, metric_pts)
-                errs.append(float(np.sqrt(np.mean((mu - metric_phi) ** 2))))
-                inducing_counts[t, agent.id] = len(agent.gp)
-            rmse[t] = float(np.mean(errs))
-        messages[t] = len(audit.messages) - messages_before
+            errs = [float(np.sqrt(np.mean((posterior_mean(a.gp, metric_pts) - metric_phi) ** 2)))
+                    for a in agents]
+            counts = [len(a.gp) for a in agents]
+        return current, float(np.mean(errs)), len(audit.messages) - messages_before, counts
 
+    trace = _rollout(config, domain, field, positions, advance)
     if audit.violations:
-        sample = audit.violations[:5]
-        raise DecentralizationError(
-            f"{len(audit.violations)} unsanctioned cross-agent reads, first: {sample}")
-    return SimTrace(init_positions, steps, true_cost, rmse, messages,
-                    positions_log, inducing_counts)
+        raise DecentralizationError(f"{len(audit.violations)} unsanctioned cross-agent "
+                                    f"reads, first: {audit.violations[:5]}")
+    return trace
 
 
 def run_lloyd_baseline(config: SimConfig) -> SimTrace:
@@ -359,18 +366,9 @@ def run_lloyd_baseline(config: SimConfig) -> SimTrace:
     field = build_scenario(config.scenario, domain, config.scenario_params)
     flat_values = field.values.ravel()
 
-    positions = initial_positions(config, domain)
-    n = config.n_agents
-    steps = np.arange(1, config.rounds + 1)
-    true_cost = np.empty(config.rounds)
-    rmse = np.full(config.rounds, np.nan)
-    messages = np.zeros(config.rounds, dtype=np.int64)
-    positions_log = np.empty((config.rounds, n, 2))
-
-    partition = compute_partition(positions, domain)
-    for t in range(config.rounds):
+    def advance(t, positions, partition):
         new_positions = positions.copy()
-        for i in range(n):
+        for i in range(len(positions)):
             cell = cell_pixels(partition, i, domain)
             if len(cell) == 0:
                 continue
@@ -380,10 +378,6 @@ def run_lloyd_baseline(config: SimConfig) -> SimTrace:
             if speed > config.v_max:
                 disp = disp * (config.v_max / speed)
             new_positions[i] = domain.clamp(positions[i] + disp)
-        positions = new_positions
-        partition = compute_partition(positions, domain)
-        positions_log[t] = positions
-        true_cost[t] = true_locational_cost(positions, partition, field)
+        return new_positions, np.nan, 0, 0
 
-    return SimTrace(initial_positions(config, domain), steps, true_cost, rmse, messages,
-                    positions_log, np.zeros((config.rounds, n), dtype=np.int64))
+    return _rollout(config, domain, field, initial_positions(config, domain), advance)

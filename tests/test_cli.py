@@ -187,11 +187,19 @@ def test_cli_run_command(tmp_path):
 
 
 def test_cli_rejects_bad_config(tmp_path, capsys):
-    config_path = tmp_path / "bad.yaml"
-    config_path.write_text(yaml.safe_dump({"n_agents": 0}))
-    code = main(["run", "--config", str(config_path)])
-    assert code == 2
-    assert "n_agents" in capsys.readouterr().err
+    # a bad field fails at load time, bad custom blobs when the run builds the scenario
+    for mapping, field in (
+        ({"n_agents": 0}, "n_agents"),
+        ({"gp": {"lengthscale0": -1.0}}, "lengthscale0"),
+        ({"scenario": "custom", "scenario_params": {"blobs": [[1, 1, -2, 1]]}}, "sigma"),
+        ({"scenario": "custom", "scenario_params": [[1, 1, 2, 1]]}, "mapping"),
+    ):
+        config_path = tmp_path / "bad.yaml"
+        config_path.write_text(yaml.safe_dump(mapping))
+        code = main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err
 
 
 def test_cli_scenario_dump(tmp_path):

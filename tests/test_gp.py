@@ -109,6 +109,16 @@ def test_inverse_residual_is_small():
     assert np.linalg.norm(gp.inv_gram @ gram - np.eye(40)) < 1e-8
 
 
+def test_singular_gram_falls_back_to_the_first_jitter():
+    # a duplicated noiseless row makes the gram exactly singular
+    gram = np.ones((2, 2))
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(gram)
+    gp = SparseGP.fit([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]], Hyperparams(1.0, 1.0, 0.0))
+    np.testing.assert_array_equal(gp.inv_gram, np.linalg.inv(gram + 1e-12 * np.eye(2)))
+    assert posterior_mean(gp, [[0.0, 0.0]])[0] == pytest.approx(1.0, abs=1e-3)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 12))
 def test_posterior_variance_never_exceeds_prior(seed, n):

@@ -245,10 +245,31 @@ def test_lloyd_two_agents_on_uniform_density_split_the_strip():
     np.testing.assert_allclose(finals[:, 1], [5.0, 5.0], atol=0.6)
 
 
+def test_lloyd_run_reproduces_its_recorded_numbers():
+    # acceptance 8's small hotspots config under the Lloyd step; the literals
+    # pin the baseline's numerics, which otherwise only acceptance 6's ratio sees
+    config = SimConfig(width=96, height=54, scenario="hotspots", n_agents=4, seed=11,
+                       rounds=12)
+    trace = run_lloyd_baseline(config)
+    np.testing.assert_allclose(trace.true_cost, [
+        39455345.61653732, 33208783.682727996, 30869566.71539411, 29825996.73208666,
+        29269596.050274875, 28924058.99197927, 28691619.349170793, 28532877.69182801,
+        28420241.104099825, 28342418.237375014, 28276204.022484705, 28234011.165397435,
+    ], rtol=1e-9)
+    np.testing.assert_allclose(trace.positions[-1], [
+        [77.18209563275877, 37.54807458783355], [60.73548654383537, 14.191359445732012],
+        [18.979513088977924, 14.49660184666639], [25.146787935856175, 38.46490525470149],
+    ], rtol=1e-9)
+    assert np.array_equal(trace.initial_positions, initial_positions(config, config.domain()))
+    assert not trace.inducing_counts.any()
+
+
 def test_config_validation_rejects_bad_values():
     for overrides in (dict(n_agents=0), dict(rounds=0), dict(T=0), dict(M=0),
                       dict(beta=-1.0), dict(alpha=0.0), dict(pair_budget=2),
-                      dict(init_mode="nope"), dict(lloyd_gamma=0.0)):
+                      dict(init_mode="nope"), dict(lloyd_gamma=0.0),
+                      dict(lengthscale0=-1.0), dict(signal_variance0=0.0),
+                      dict(noise_variance0=-1e-3)):
         with pytest.raises(ConfigurationError):
             SimConfig(**overrides).validate()
     with pytest.raises(ConfigurationError):
