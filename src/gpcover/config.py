@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigurationError
@@ -9,6 +10,8 @@ from .geometry import Domain
 
 _INIT_MODES = ("uniform_random", "cluster", "explicit")
 _CORNERS = ("ll", "lr", "ul", "ur")
+_INT_FIELDS = ("width", "height", "n_agents", "seed", "rounds", "T", "M", "k",
+               "single_stride", "pair_budget", "refit_steps", "rmse_stride")
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,8 +69,13 @@ class SimConfig:
         return Domain(self.width, self.height, self.cell_size)
 
     def validate(self) -> None:
-        """Raise ``ConfigurationError`` on any out-of-range field."""
+        """Raise ``ConfigurationError`` on any non-integer count or out-of-range field."""
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
         checks = [
+            (self.seed >= 0, f"seed must be non-negative, got {self.seed}"),
             (self.n_agents >= 1, f"n_agents must be at least 1, got {self.n_agents}"),
             (self.rounds >= 1, f"rounds must be at least 1, got {self.rounds}"),
             (self.T >= 1, f"refresh period T must be at least 1, got {self.T}"),

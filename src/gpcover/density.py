@@ -166,6 +166,10 @@ def build_scenario(name: str, domain: Domain, params: dict | None = None) -> Den
         params = params or {}
         if not isinstance(params, dict):
             raise ConfigurationError(f"custom scenario params must be a mapping, got {params!r}")
+        for key in params:
+            if key not in ("blobs", "background"):
+                raise ConfigurationError(
+                    f"unknown custom scenario parameter {key!r}; expected blobs or background")
         try:
             blobs = tuple(GaussianBlob((float(b[0]), float(b[1])), float(b[2]), float(b[3]))
                           for b in params.get("blobs", ()))

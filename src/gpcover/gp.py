@@ -1,15 +1,16 @@
-"""Sparse Gaussian-process regression with incremental inverse updates.
+"""Sparse Gaussian-process regression over a greedily chosen inducing set.
 
 Each agent keeps a GP conditioned on a small set of inducing observations
 (a subset of everything it has seen or received), with the gram-matrix
-inverse cached. Greedy inducing selection extends that inverse one point at
-a time by a block-inverse identity, so the per-point cost of growing the set
-is quadratic in its size instead of cubic.
+inverse cached. Greedy inducing selection keeps each candidate's residual
+variance and updates it by one pivoted-Cholesky column per pick, so a pick
+costs one kernel column instead of a kernel block against every chosen point.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,39 +185,36 @@ def greedy_select(candidates, capacity: int, hyper: Hyperparams) -> np.ndarray:
     Starting from an empty conditioning set, repeatedly add the candidate
     whose posterior variance under the points chosen so far is largest
     (ties to the lowest candidate index; the very first pick is therefore
-    index 0). Candidates whose extension is rank-deficient are skipped.
-    Returns the chosen ``(m, 3)`` rows in selection order; if the pool does
-    not exceed capacity it is returned unchanged.
+    index 0). This is forward selection by pivoted Cholesky: each candidate
+    keeps its row of the factor of the chosen gram and its residual
+    variance, so a pick costs one kernel column. Every candidate's Schur
+    complement is its residual variance plus the noise variance, so once the
+    best one falls below ``SCHUR_FLOOR`` selection stops. Returns the chosen
+    ``(m, 3)`` rows in selection order; if the pool does not exceed capacity
+    it is returned unchanged.
     """
+    capacity = operator.index(capacity)
     if capacity < 1:
         raise ValueError(f"capacity must be at least 1, got {capacity}")
     cand = np.asarray(candidates, dtype=float).reshape(-1, 3)
     if len(cand) <= capacity:
         return cand.copy()
     pts = cand[:, :2]
+    rows = np.zeros((len(cand), capacity))
+    var = np.full(len(cand), hyper.signal_variance)
     chosen: list[int] = []
-    available = list(range(len(cand)))
-    inv = np.zeros((0, 0))
-    while len(chosen) < capacity and available:
-        if chosen:
-            kc = kernel_matrix(pts[available], pts[chosen], hyper)
-            var = hyper.signal_variance - np.einsum("ij,jk,ik->i", kc, inv, kc)
-        else:
-            var = np.full(len(available), hyper.signal_variance)
-        picked = -1
-        # stable descending sort keeps ties in ascending candidate order
-        for slot in np.argsort(-var, kind="stable"):
-            idx = available[slot]
-            try:
-                inv = smw_extend(inv, pts[chosen], pts[idx], hyper)
-            except SingularityError:
-                continue
-            picked = idx
+    for j in range(capacity):
+        idx = int(np.argmax(var))  # the first maximum: ties go to the lowest index
+        schur = var[idx] + hyper.noise_variance
+        if schur < SCHUR_FLOOR:
             break
-        if picked < 0:
-            break
-        chosen.append(picked)
-        available.remove(picked)
+        col = kernel_matrix(pts, pts[idx:idx + 1], hyper)[:, 0]
+        col -= rows[:, :j] @ rows[idx, :j]
+        col /= math.sqrt(schur)
+        rows[:, j] = col
+        var -= col * col
+        var[idx] = -np.inf
+        chosen.append(idx)
     return cand[chosen]
 
 

@@ -193,6 +193,10 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
         ({"gp": {"lengthscale0": -1.0}}, "lengthscale0"),
         ({"scenario": "custom", "scenario_params": {"blobs": [[1, 1, -2, 1]]}}, "sigma"),
         ({"scenario": "custom", "scenario_params": [[1, 1, 2, 1]]}, "mapping"),
+        # small and short, so that a run which ignores the unknown key ends quickly
+        ({"scenario": "custom", "scenario_params": {"blobs": [[1, 1, 2, 1]], "sigma": 3},
+          "domain": {"width": 24, "height": 14}, "n_agents": 2, "rounds": 1}, "sigma"),
+        ({"rounds": 2.5}, "rounds"),
     ):
         config_path = tmp_path / "bad.yaml"
         config_path.write_text(yaml.safe_dump(mapping))

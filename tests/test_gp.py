@@ -185,6 +185,30 @@ def test_greedy_skips_rank_deficient_duplicates():
     np.testing.assert_array_equal(out[:, 2], [1.0, 4.0, 3.0])
 
 
+def test_greedy_pick_order_contract():
+    # continuous pools with noise of at least 1e-4 * signal_variance; zero
+    # noise, exact duplicates and symmetric grids are left out, since there
+    # rounding-level ties make any two summation orders disagree
+    for seed in range(100):
+        rng = np.random.default_rng(1000 + seed)
+        n = int(rng.integers(2, 21))
+        capacity = int(rng.integers(1, n))
+        sv = float(10.0 ** rng.uniform(-4, 1))
+        h = Hyperparams(lengthscale=float(rng.uniform(0.5, 6.0)), signal_variance=sv,
+                        noise_variance=sv * float(10.0 ** rng.uniform(-4, 0)))
+        cand = _random_inducing(rng, n, span=float(rng.uniform(1.0, 10.0)))
+        np.testing.assert_array_equal(greedy_select(cand, capacity, h),
+                                      greedy_oracle(cand, capacity, h), err_msg=f"seed {seed}")
+    # one location repeated under zero noise: everything after the first pick
+    # is rank-deficient, so selection stops after one row
+    same = np.column_stack([np.full((6, 2), 2.5), np.arange(6.0)])
+    np.testing.assert_array_equal(greedy_select(same, 4, Hyperparams(1.0, 1.0, 0.0)), same[:1])
+    cand = _random_inducing(np.random.default_rng(7), 9)
+    np.testing.assert_array_equal(greedy_select(cand, 1, HYPER), cand[:1])
+    with pytest.raises(TypeError):
+        greedy_select(cand, 2.0, HYPER)
+
+
 def test_merge_dedups_by_location_first_occurrence_wins():
     own = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 2.0]])
     buffer = np.array([[0.0, 0.0, 99.0], [2.0, 0.0, 3.0]])

@@ -269,9 +269,15 @@ def test_config_validation_rejects_bad_values():
                       dict(beta=-1.0), dict(alpha=0.0), dict(pair_budget=2),
                       dict(init_mode="nope"), dict(lloyd_gamma=0.0),
                       dict(lengthscale0=-1.0), dict(signal_variance0=0.0),
-                      dict(noise_variance0=-1e-3)):
-        with pytest.raises(ConfigurationError):
+                      dict(noise_variance0=-1e-3), dict(seed=-1), dict(rounds=2.5),
+                      dict(n_agents=2.0), dict(n_agents=True), dict(pair_budget=16.5),
+                      dict(width=24.0), dict(height="54"), dict(T=1.5), dict(M=8.0),
+                      dict(k=None), dict(single_stride=2.0), dict(refit_steps=False),
+                      dict(rmse_stride=4.5)):
+        with pytest.raises(ConfigurationError, match=next(iter(overrides))):
             SimConfig(**overrides).validate()
+    # numpy integers are integers
+    SimConfig(n_agents=np.int64(3), seed=np.int32(2)).validate()
     with pytest.raises(ConfigurationError):
         SimConfig(init_mode="explicit", n_agents=2,
                   explicit_positions=((1.0, 1.0),)).validate()
