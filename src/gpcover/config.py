@@ -5,6 +5,8 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass, fields, replace
 
+import numpy as np
+
 from .errors import ConfigurationError
 from .geometry import Domain
 
@@ -12,6 +14,28 @@ _INIT_MODES = ("uniform_random", "cluster", "explicit")
 _CORNERS = ("ll", "lr", "ul", "ur")
 _INT_FIELDS = ("width", "height", "n_agents", "seed", "rounds", "T", "M", "k",
                "single_stride", "pair_budget", "refit_steps", "rmse_stride")
+_FLOAT_FIELDS = ("cell_size", "beta", "eta", "eta_adam", "v_max", "epsilon", "alpha",
+                 "prior_mean0", "hyper_spread", "lloyd_gamma")
+# None selects a problem-scaled default (see SimConfig)
+_OPTIONAL_FLOAT_FIELDS = ("noise_sigma", "lengthscale0", "signal_variance0", "noise_variance0")
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _position_rows(value) -> tuple[tuple[float, float], ...]:
+    """``explicit_positions`` as ``(x, y)`` float pairs; ``ConfigurationError`` on a bad row."""
+    try:
+        rows = [tuple(row) for row in value]
+    except TypeError:
+        raise ConfigurationError(
+            f"explicit_positions must be a list of [x, y] pairs, got {value!r}") from None
+    for i, row in enumerate(rows):
+        if len(row) != 2 or not all(map(_is_real, row)):
+            raise ConfigurationError(
+                f"explicit_positions[{i}] must be an [x, y] pair of numbers, got {list(row)!r}")
+    return tuple((float(x), float(y)) for x, y in rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,11 +93,18 @@ class SimConfig:
         return Domain(self.width, self.height, self.cell_size)
 
     def validate(self) -> None:
-        """Raise ``ConfigurationError`` on any non-integer count or out-of-range field."""
+        """Raise ``ConfigurationError`` on any mistyped or out-of-range field."""
         for name in _INT_FIELDS:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+        for name in _FLOAT_FIELDS + _OPTIONAL_FLOAT_FIELDS:
+            value = getattr(self, name)
+            if not (_is_real(value) or (value is None and name in _OPTIONAL_FLOAT_FIELDS)):
+                raise ConfigurationError(f"{name} must be a number, got {value!r}")
+        if not isinstance(self.log_space_consensus, (bool, np.bool_)):
+            raise ConfigurationError(
+                f"log_space_consensus must be true or false, got {self.log_space_consensus!r}")
         checks = [
             (self.seed >= 0, f"seed must be non-negative, got {self.seed}"),
             (self.n_agents >= 1, f"n_agents must be at least 1, got {self.n_agents}"),
@@ -113,6 +144,8 @@ class SimConfig:
             self.domain()
         except ValueError as exc:
             raise ConfigurationError(str(exc)) from exc
+        if self.explicit_positions is not None:
+            _position_rows(self.explicit_positions)
         if self.init_mode == "explicit":
             pos = self.explicit_positions
             if pos is None or len(pos) != self.n_agents:
@@ -160,9 +193,8 @@ def config_from_dict(data: dict) -> SimConfig:
             flat[key] = value
         else:
             raise ConfigurationError(f"unknown configuration key {key!r}")
-    if "explicit_positions" in flat and flat["explicit_positions"] is not None:
-        flat["explicit_positions"] = tuple(
-            (float(p[0]), float(p[1])) for p in flat["explicit_positions"])
+    if flat.get("explicit_positions") is not None:
+        flat["explicit_positions"] = _position_rows(flat["explicit_positions"])
     try:
         cfg = SimConfig(**flat)
     except (TypeError, ValueError) as exc:

@@ -5,6 +5,12 @@ integrates ``0.5 ||q - p||^2`` against the clipped posterior mean; the
 exploration term is the standard deviation of that same integral under the
 posterior covariance, weighted by ``sqrt(beta)``. All integrals are pixel
 sums with deterministic subsampling so repeated evaluation is bit-stable.
+
+Every node is a pixel centre, so a cell carries grid indices rather than
+coordinates. The expected term takes the posterior mean from
+:func:`gpcover.gp.grid_posterior_mean`, one bounding-box GEMM per cell, and
+integrates with 1-D offsets per axis. The exploration term works on at most
+``pair_budget`` nodes and never forms their posterior covariance.
 """
 
 from __future__ import annotations
@@ -15,7 +21,9 @@ import numpy as np
 
 from .density import DensityField
 from .geometry import CellPixels, VoronoiPartition
-from .gp import SparseGP, kernel_matrix, posterior_mean
+from .gp import SparseGP, grid_posterior_mean, kernel_matrix
+# the dense path, kept importable here for callers that look it up by name
+from .gp import posterior_mean  # noqa: F401
 
 # below this the exploration std is treated as exactly zero and its gradient vanishes
 STD_FLOOR = 1e-9
@@ -57,43 +65,44 @@ class CellCostReport:
     grad_total: np.ndarray
 
 
-def _weighted_nodes(cell: CellPixels, idx) -> tuple[np.ndarray, np.ndarray]:
-    """The cell's nodes at ``idx``, each weighted by an equal share of the cell area."""
+def _weighted_pixels(cell: CellPixels, idx) -> tuple[np.ndarray, np.ndarray, float]:
+    """Grid columns and rows of the cell's pixels at ``idx``, with the equal
+    share of the cell area that each one carries."""
     k = len(cell)
-    if len(idx) == k:
-        return cell.centers, np.full(k, cell.pixel_area)
-    return cell.centers[idx], np.full(len(idx), k * cell.pixel_area / len(idx))
-
-
-def _single_nodes(cell: CellPixels, stride: int) -> tuple[np.ndarray, np.ndarray]:
-    return _weighted_nodes(cell, np.arange(0, len(cell), stride))
+    iy, ix = np.divmod(cell.index[idx], cell.domain.width)
+    weight = cell.pixel_area if len(ix) == k else k * cell.pixel_area / len(ix)
+    return ix, iy, weight
 
 
 def _pair_nodes(cell: CellPixels, budget: int) -> tuple[np.ndarray, np.ndarray]:
     k = len(cell)
     if k <= budget:
-        idx = np.arange(k)
+        idx = slice(None)
     else:
         idx = np.unique(np.round(np.linspace(0, k - 1, budget)).astype(np.int64))
-    return _weighted_nodes(cell, idx)
+    ix, iy, weight = _weighted_pixels(cell, idx)
+    xs, ys = cell.domain.axis_centers()
+    return np.column_stack([xs[ix], ys[iy]]), np.full(len(ix), weight)
 
 
 def expected_cost(cell: CellPixels, agent_pos, gp: SparseGP,
                   quad: QuadratureSpec) -> tuple[float, np.ndarray]:
     """Expected coverage cost of the cell and its gradient in the agent position.
 
-    The posterior mean is clipped at zero before integrating, matching the
+    The posterior mean is evaluated on the grid of the cell's (strided)
+    pixels and clipped at zero before integrating, matching the
     non-negativity of the underlying density. An empty cell costs nothing.
     """
-    pos = np.asarray(agent_pos, dtype=float).reshape(2)
+    px, py = np.asarray(agent_pos, dtype=float).reshape(2)
     if len(cell) == 0:
         return 0.0, np.zeros(2)
-    nodes, weights = _single_nodes(cell, quad.single_stride)
-    mu = np.maximum(posterior_mean(gp, nodes), 0.0)
-    diff = nodes - pos
-    g = (diff ** 2).sum(axis=1)
-    mw = mu * weights
-    return 0.5 * float(g @ mw), -(diff * mw[:, None]).sum(axis=0)
+    ix, iy, weight = _weighted_pixels(cell, slice(None, None, quad.single_stride))
+    xs, ys = cell.domain.axis_centers()
+    mw = np.maximum(grid_posterior_mean(gp, xs, ys, ix, iy), 0.0)
+    mw *= weight
+    dx = xs[ix] - px
+    dy = ys[iy] - py
+    return 0.5 * float((dx * dx + dy * dy) @ mw), -np.array([dx @ mw, dy @ mw])
 
 
 def variance_cost(cell: CellPixels, agent_pos, gp: SparseGP,
@@ -101,28 +110,26 @@ def variance_cost(cell: CellPixels, agent_pos, gp: SparseGP,
     """Std of the cell cost under the GP posterior, with its position gradient.
 
     The variance is the double integral of ``f(q) f(q') cov(q, q')`` over the
-    cell with ``f = 0.5 ||q - p||^2``, evaluated on the pair-budget nodes.
-    When the std falls below ``STD_FLOOR`` it is returned as is with a zero
-    gradient (the direction is numerically meaningless there).
+    cell with ``f = 0.5 ||q - p||^2``, evaluated on the pair-budget nodes as
+    ``gw . (Kqq gw - Kqz inv_gram Kzq gw)`` without forming the posterior
+    covariance. When the std falls below ``STD_FLOOR`` it is returned as is
+    with a zero gradient (the direction is numerically meaningless there).
     """
     pos = np.asarray(agent_pos, dtype=float).reshape(2)
     if len(cell) == 0:
         return 0.0, np.zeros(2)
     nodes, weights = _pair_nodes(cell, quad.pair_budget)
     diff = nodes - pos
-    g = (diff ** 2).sum(axis=1)
-    gw = g * weights
-    cov = kernel_matrix(nodes, nodes, gp.hyper)
+    gw = (diff ** 2).sum(axis=1) * weights
+    cgw = kernel_matrix(nodes, nodes, gp.hyper) @ gw
     if len(gp.points) > 0:
         kq = kernel_matrix(nodes, gp.points, gp.hyper)
-        cov = cov - kq @ gp.inv_gram @ kq.T
-    cgw = cov @ gw
+        cgw -= kq @ (gp.inv_gram @ (kq.T @ gw))
     var = 0.25 * float(gw @ cgw)
     std = float(np.sqrt(max(var, 0.0)))
     if std < STD_FLOOR:
         return std, np.zeros(2)
-    grad = -(diff * (weights * cgw)[:, None]).sum(axis=0) / (2.0 * std)
-    return std, grad
+    return std, -(diff * (weights * cgw)[:, None]).sum(axis=0) / (2.0 * std)
 
 
 def mass_centroid(cell: CellPixels, values) -> tuple[float, np.ndarray]:

@@ -98,17 +98,31 @@ class VoronoiPartition:
 
 @dataclass(frozen=True, eq=False)
 class CellPixels:
-    """Pixel centers of one Voronoi cell with their common quadrature area."""
+    """The pixels of one Voronoi cell, as grid indices into their domain.
 
-    centers: np.ndarray
-    pixel_area: float
+    ``index`` holds the cell's sorted flat row-major pixel indices (pixel
+    ``(ix, iy)`` is ``iy * width + ix``), so cost integrals can evaluate on
+    the domain's axis centres; ``centers`` is the derived ``(k, 2)`` array of
+    pixel-centre coordinates.
+    """
+
+    index: np.ndarray
+    domain: Domain
 
     def __len__(self) -> int:
-        return len(self.centers)
+        return len(self.index)
+
+    @property
+    def pixel_area(self) -> float:
+        return self.domain.pixel_area
+
+    @cached_property
+    def centers(self) -> np.ndarray:
+        return self.domain.pixel_centers[self.index]
 
     @property
     def geometric_center(self) -> np.ndarray:
-        if len(self.centers) == 0:
+        if len(self.index) == 0:
             raise ValueError("empty cell has no geometric center")
         return self.centers.mean(axis=0)
 
@@ -127,11 +141,18 @@ def compute_partition(positions, domain: Domain) -> VoronoiPartition:
         if not domain.contains(p):
             raise OutsideDomainError(f"agent {i} at ({p[0]}, {p[1]}) is outside the workspace")
 
+    # running minimum over agents; a later agent takes a pixel only when it
+    # is strictly closer, so exact ties stay with the lowest index
     xs, ys = domain.axis_centers()
-    # (n, H, W) squared distances; argmin returns the first (lowest) index on ties
-    d2 = (xs[None, None, :] - pos[:, 0, None, None]) ** 2 \
-        + (ys[None, :, None] - pos[:, 1, None, None]) ** 2
-    owner = np.argmin(d2, axis=0)
+    best = np.full((domain.height, domain.width), np.inf)
+    d2 = np.empty_like(best)
+    closer = np.empty(best.shape, dtype=bool)
+    owner = np.zeros(best.shape, dtype=np.intp)
+    for i, (px, py) in enumerate(pos):
+        np.add((xs[None, :] - px) ** 2, (ys[:, None] - py) ** 2, out=d2)
+        np.less(d2, best, out=closer)
+        np.copyto(best, d2, where=closer)
+        np.copyto(owner, i, where=closer)
 
     n = len(pos)
     flat = owner.ravel()
@@ -184,6 +205,5 @@ def laplacian_of(neighbors) -> np.ndarray:
 
 
 def cell_pixels(partition: VoronoiPartition, agent: int, domain: Domain) -> CellPixels:
-    """Pixel centers owned by ``agent`` with their quadrature area."""
-    idx = partition.cells[agent]
-    return CellPixels(domain.pixel_centers[idx], domain.pixel_area)
+    """The pixels owned by ``agent``."""
+    return CellPixels(partition.cells[agent], domain)

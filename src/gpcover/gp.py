@@ -5,6 +5,13 @@ Each agent keeps a GP conditioned on a small set of inducing observations
 inverse cached. Greedy inducing selection keeps each candidate's residual
 variance and updates it by one pivoted-Cholesky column per pick, so a pick
 costs one kernel column instead of a kernel block against every chosen point.
+
+Queries on a pixel grid go through :func:`grid_posterior_mean`: the SE kernel
+factors per axis there, so the mean over a bounding box of pixels is a product
+of per-axis factors (exact Kronecker structure, no interpolation), taken in row
+blocks small enough that BLAS runs each on one thread and the result does not
+depend on the thread count. :func:`posterior_mean` and :func:`posterior` serve
+arbitrary query points.
 """
 
 from __future__ import annotations
@@ -26,6 +33,12 @@ _FALLBACK_JITTER = (1e-12, 1e-10, 1e-8)
 
 # log-parameters are clipped here to keep exp() finite during refits
 _LOG_BOUND = 40.0
+
+# OpenBLAS runs a GEMM of at most this many multiply-adds (m * n * k) on one
+# thread (SMP_THRESHOLD_MIN * GEMM_MULTITHREAD_THRESHOLD at their defaults).
+# A threaded GEMM splits the output differently with the thread count, and so
+# rounds differently; blocks below this bound give the same bits for any count.
+_SERIAL_GEMM_MACS = 65536 * 4
 
 
 @dataclass(frozen=True)
@@ -145,6 +158,42 @@ def posterior_mean(gp: SparseGP, query) -> np.ndarray:
         return np.full(len(q), gp.hyper.prior_mean)
     kq = kernel_matrix(q, gp.points, gp.hyper)
     return gp.hyper.prior_mean + kq @ (gp.inv_gram @ (gp.values - gp.hyper.prior_mean))
+
+
+def _axis_factor(centers: np.ndarray, coords: np.ndarray, lengthscale: float) -> np.ndarray:
+    """One axis's factor of the SE kernel, ``exp(-(c - z)^2 / 2l^2)``, ``(len(c), len(z))``."""
+    out = _squared_distances(centers[:, None], coords[:, None])
+    out /= -2.0 * lengthscale ** 2
+    return np.exp(out, out=out)
+
+
+def grid_posterior_mean(gp: SparseGP, xs: np.ndarray, ys: np.ndarray, ix, iy) -> np.ndarray:
+    """Posterior mean at the pixel centres ``(xs[ix], ys[iy])`` of a grid.
+
+    On a grid the SE kernel factors per axis, ``K(q, z) = sv * ex[ix] * ey[iy]``,
+    so the mean over the bounding box of the queried pixels is
+    ``(ey * a) @ ex.T`` with ``a = sv * inv_gram @ (y - m0)``, gathered at
+    ``(iy, ix)``. The product is taken in row blocks of at most
+    ``_SERIAL_GEMM_MACS`` multiply-adds, so its bits do not depend on the BLAS
+    thread count. Its temporaries are the ``(Hb, M)`` and ``(Wb, M)`` factors
+    and the ``(Hb, Wb)`` box, never a table of every query against every
+    inducing point. Agrees with :func:`posterior_mean` to rounding.
+    """
+    ix = np.asarray(ix)
+    iy = np.asarray(iy)
+    hyper = gp.hyper
+    if len(gp.points) == 0 or ix.size == 0:
+        return np.full(ix.shape, hyper.prior_mean)
+    x0, y0 = int(ix.min()), int(iy.min())
+    ex = _axis_factor(xs[x0:int(ix.max()) + 1], gp.points[:, 0], hyper.lengthscale)
+    ey = _axis_factor(ys[y0:int(iy.max()) + 1], gp.points[:, 1], hyper.lengthscale)
+    a = hyper.signal_variance * gp.inv_gram @ (gp.values - hyper.prior_mean)
+    ey *= a
+    box = np.empty((len(ey), len(ex)))
+    rows = max(1, _SERIAL_GEMM_MACS // (len(ex) * len(a)))
+    for r in range(0, len(ey), rows):
+        np.matmul(ey[r:r + rows], ex.T, out=box[r:r + rows])
+    return hyper.prior_mean + box[iy - y0, ix - x0]
 
 
 def smw_extend(inv_gram: np.ndarray, points, new_point, hyper: Hyperparams) -> np.ndarray:

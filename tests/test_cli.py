@@ -197,6 +197,13 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
         ({"scenario": "custom", "scenario_params": {"blobs": [[1, 1, 2, 1]], "sigma": 3},
           "domain": {"width": 24, "height": 14}, "n_agents": 2, "rounds": 1}, "sigma"),
         ({"rounds": 2.5}, "rounds"),
+        ({"beta": "2"}, "beta"),
+        ({"optimizer": {"v_max": None}}, "v_max"),
+        ({"domain": {"cell_size": "1"}}, "cell_size"),
+        ({"n_agents": 1, "init": {"init_mode": "explicit", "explicit_positions": [[1]]}},
+         "explicit_positions"),
+        ({"n_agents": 1, "init": {"init_mode": "explicit", "explicit_positions": [[3, 4, 5]]}},
+         "explicit_positions"),
     ):
         config_path = tmp_path / "bad.yaml"
         config_path.write_text(yaml.safe_dump(mapping))

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from gpcover import (Domain, Hyperparams, QuadratureSpec, SparseGP, cell_cost_report,
-                     cell_pixels, compute_partition, expected_cost, mass_centroid,
-                     true_locational_cost, variance_cost)
+                     cell_pixels, compute_partition, expected_cost, kernel_matrix,
+                     mass_centroid, posterior_mean, true_locational_cost, variance_cost)
 from gpcover.density import DensityField, GaussianBlob, GaussianMixture
-from gpcover.cost import _pair_nodes, _single_nodes
+from gpcover.cost import _pair_nodes, _weighted_pixels
 
 from oracles import central_fd
 
@@ -32,9 +32,9 @@ def _seeded_gp(rng, domain, n=12, prior_mean=0.0):
 def test_single_quadrature_weights_sum_to_cell_area():
     _, cell = _whole_grid_cell(13, 9)
     for stride in (1, 2, 3, 5):
-        nodes, weights = _single_nodes(cell, stride)
-        assert weights.sum() == pytest.approx(13 * 9, rel=1e-12)
-        assert len(nodes) == len(weights)
+        ix, iy, weight = _weighted_pixels(cell, slice(None, None, stride))
+        assert len(ix) == len(iy) == len(range(0, 13 * 9, stride))
+        assert weight * len(ix) == pytest.approx(13 * 9, rel=1e-12)
 
 
 def test_pair_quadrature_weights_sum_to_cell_area():
@@ -50,6 +50,63 @@ def test_full_budget_uses_exact_pixel_area():
     nodes, weights = _pair_nodes(cell, budget=36)
     assert len(nodes) == 36
     assert np.all(weights == 0.25)
+
+
+def _dense_nodes(cell, idx):
+    k = len(cell)
+    weight = cell.pixel_area if len(idx) == k else k * cell.pixel_area / len(idx)
+    return cell.centers[idx], np.full(len(idx), weight)
+
+
+def _dense_expected(cell, pos, gp, stride):
+    """The expected term on (k, 2) node coordinates and a k x M kernel table."""
+    nodes, weights = _dense_nodes(cell, np.arange(0, len(cell), stride))
+    mu = np.maximum(posterior_mean(gp, nodes), 0.0)
+    diff = nodes - pos
+    mw = mu * weights
+    return 0.5 * float((diff ** 2).sum(axis=1) @ mw), -(diff * mw[:, None]).sum(axis=0)
+
+
+def _dense_std(cell, pos, gp, budget):
+    """The exploration term through the full posterior covariance of the pair nodes."""
+    k = len(cell)
+    idx = np.arange(k) if k <= budget else \
+        np.unique(np.round(np.linspace(0, k - 1, budget)).astype(np.int64))
+    nodes, weights = _dense_nodes(cell, idx)
+    diff = nodes - pos
+    gw = (diff ** 2).sum(axis=1) * weights
+    cov = kernel_matrix(nodes, nodes, gp.hyper)
+    if len(gp) > 0:
+        kq = kernel_matrix(nodes, gp.points, gp.hyper)
+        cov = cov - kq @ gp.inv_gram @ kq.T
+    cgw = cov @ gw
+    std = float(np.sqrt(max(0.25 * float(gw @ cgw), 0.0)))
+    return std, -(diff * (weights * cgw)[:, None]).sum(axis=0) / (2.0 * std)
+
+
+def test_cost_terms_match_the_dense_formulas():
+    rng = np.random.default_rng(41)
+    for domain in (Domain(40, 25), Domain(30, 22, cell_size=0.5)):
+        span = np.array([domain.world_width, domain.world_height])
+        for trial in range(4):
+            pos = rng.uniform(0.1 * span, 0.9 * span, size=(3, 2))
+            part = compute_partition(pos, domain)
+            rows = np.column_stack([rng.uniform([0, 0], span, size=(3 * trial, 2)),
+                                    rng.uniform(-1.0, 2.0, size=3 * trial)])
+            gp = SparseGP.fit(rows, Hyperparams(0.2 * span[0], 1.5, 0.05,
+                                                prior_mean=0.5 - 0.5 * trial))
+            for i in range(3):
+                cell = cell_pixels(part, i, domain)
+                for stride, budget in ((1, 10_000), (2, 64), (3, 16), (7, 4)):
+                    quad = QuadratureSpec(single_stride=stride, pair_budget=budget)
+                    value, grad = expected_cost(cell, pos[i], gp, quad)
+                    ref_value, ref_grad = _dense_expected(cell, pos[i], gp, stride)
+                    assert value == pytest.approx(ref_value, rel=1e-12, abs=1e-300)
+                    assert np.linalg.norm(grad - ref_grad) <= 1e-12 * np.linalg.norm(ref_grad)
+                    std, grad = variance_cost(cell, pos[i], gp, quad)
+                    ref_std, ref_grad = _dense_std(cell, pos[i], gp, budget)
+                    assert std == pytest.approx(ref_std, rel=1e-12)
+                    assert np.linalg.norm(grad - ref_grad) <= 1e-12 * np.linalg.norm(ref_grad)
 
 
 def test_expected_cost_zero_when_posterior_is_non_positive():

@@ -43,9 +43,15 @@ def test_tie_goes_to_lowest_agent_index():
 def test_matches_brute_force_oracle_on_seeded_configs():
     domain = Domain(24, 16)
     rng = np.random.default_rng(42)
-    for _ in range(10):
-        n = int(rng.integers(1, 6))
-        pos = rng.uniform([0, 0], [domain.world_width, domain.world_height], size=(n, 2))
+    configs = [rng.uniform([0, 0], [domain.world_width, domain.world_height],
+                           size=(int(rng.integers(1, 6)), 2)) for _ in range(10)]
+    # grid-aligned positions on pixel corners and centres: many exact ties
+    configs += [rng.integers(0, [49, 33], size=(int(rng.integers(2, 7)), 2)) * 0.5
+                for _ in range(10)]
+    configs += [[[4.0, 8.0], [20.0, 8.0], [12.0, 2.0], [12.0, 14.0]],
+                [[12.0, 8.0], [12.0, 8.0]],
+                [[3.3, 7.1], [15.0, 2.0], [3.3, 7.1]]]
+    for pos in configs:
         part = compute_partition(pos, domain)
         np.testing.assert_array_equal(part.owner, brute_force_owner(pos, domain))
 

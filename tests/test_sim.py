@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -109,6 +114,40 @@ def test_runs_are_bit_identical_for_the_same_config(tmp_path):
     trace_a.to_csv(path_a)
     trace_b.to_csv(path_b)
     assert path_a.read_bytes() == path_b.read_bytes()
+
+
+# a full-grid mean and a short acceptance-6 run, both with products well above
+# the size at which OpenBLAS starts to use more than one thread; an odd box
+# width is where a threaded GEMM was seen to round differently
+_THREAD_PROBE = """
+import hashlib, sys
+import numpy as np
+from gpcover import Hyperparams, SimConfig, SparseGP, run
+from gpcover.gp import grid_posterior_mean
+rng = np.random.default_rng(5)
+rows = np.column_stack([rng.uniform([0, 0], [171, 135], size=(60, 2)), rng.uniform(0, 1, 60)])
+gp = SparseGP.fit(rows, Hyperparams(20.0, 1.0, 1e-3))
+iy, ix = np.divmod(np.arange(135 * 171), 171)
+mean = grid_posterior_mean(gp, np.arange(171) + 0.5, np.arange(135) + 0.5, ix, iy)
+run(SimConfig(width=240, height=135, scenario="four_gaussians", n_agents=4, seed=1,
+              rounds=20, T=3, M=60, beta=2.0, single_stride=2, pair_budget=256,
+              signal_variance0=1.2e-4, noise_sigma=0.002, lengthscale0=24.0, epsilon=1e-4,
+              eta=2.0, eta_adam=0.6, v_max=4.0, rmse_stride=8)).to_csv(sys.argv[1])
+with open(sys.argv[1], "rb") as f:
+    print(hashlib.sha256(mean.tobytes()).hexdigest(), hashlib.sha256(f.read()).hexdigest())
+"""
+
+
+def test_runs_are_bit_identical_under_one_and_two_blas_threads(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", _THREAD_PROBE, str(tmp_path / f"{threads}.csv")],
+                             env=env, capture_output=True, text=True, check=True)
+        digests.append(out.stdout.split())
+    assert digests[0] == digests[1]
 
 
 def test_refit_run_reproduces_its_recorded_numbers():
@@ -273,7 +312,12 @@ def test_config_validation_rejects_bad_values():
                       dict(n_agents=2.0), dict(n_agents=True), dict(pair_budget=16.5),
                       dict(width=24.0), dict(height="54"), dict(T=1.5), dict(M=8.0),
                       dict(k=None), dict(single_stride=2.0), dict(refit_steps=False),
-                      dict(rmse_stride=4.5)):
+                      dict(rmse_stride=4.5), dict(beta="2"), dict(v_max=None),
+                      dict(cell_size="1"), dict(eta=True), dict(lengthscale0="24"),
+                      dict(prior_mean0=None), dict(log_space_consensus="no"),
+                      dict(explicit_positions=((1.0,),)),
+                      dict(explicit_positions=((3.0, 4.0, 5.0),)),
+                      dict(explicit_positions=(("1", 2.0),))):
         with pytest.raises(ConfigurationError, match=next(iter(overrides))):
             SimConfig(**overrides).validate()
     # numpy integers are integers

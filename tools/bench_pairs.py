@@ -1,0 +1,114 @@
+"""Alternating parent/change benchmark pairs, summarised into one JSON record.
+
+    python3 tools/bench_pairs.py --parent ../parent --change . --out BENCH_6.json
+
+Runs ``perfbench/run.py`` of two checkouts of the repository on every workload
+of ``BENCHMARK.json`` for its ``run_seconds``, one pair per seed of ``SEEDS``,
+alternating which side runs first. For every end-to-end metric it records each
+run's value, each side's median and quartiles, and how many pairs the change
+won (ties count for neither side). One ``--trace 1`` run per side and workload,
+on the first seed, gives the per-layer metrics. Each checkout runs its own
+benchmark code on its own library; the benchmark sets its own BLAS thread
+count. Each side's ``src_sha256`` (see :func:`src_digest`) ties the record to
+the library it measured, committed or not.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+# kept apart from seeds 1-3, on which a change is sized while it is written
+SEEDS = range(4, 14)
+
+
+def src_digest(checkout: Path) -> str:
+    """sha256 over the relative paths and bytes of the checkout's ``src/**/*.py``."""
+    digest = hashlib.sha256()
+    for path in sorted((checkout / "src").rglob("*.py")):
+        digest.update(str(path.relative_to(checkout)).encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """One benchmark run: its environment line and its final JSON line."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", str(trace)]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.splitlines()
+    env = next((json.loads(line[4:]) for line in lines if line.startswith("env ")), None)
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        result = {"correct": False, "attempted": 0, "failed": None, "metrics": {},
+                  "error": proc.stderr[-2000:]}
+    return {"seed": seed, "returncode": proc.returncode, "env": env, **result}
+
+
+def summary(values):
+    q1, med, q3 = np.percentile(values, [25, 50, 75])
+    return {"median": float(med), "q1": float(q1), "q3": float(q3)}
+
+
+def compare(pairs, metric: str, better: str) -> dict:
+    parent = [p["parent"]["metrics"][metric]["value"] for p in pairs]
+    change = [p["change"]["metrics"][metric]["value"] for p in pairs]
+    sign = 1.0 if better == "higher" else -1.0
+    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    losses = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
+    out = {"better": better, "parent": summary(parent), "change": summary(change),
+           "change_wins": int(wins), "change_losses": int(losses),
+           "parent_runs": parent, "change_runs": change}
+    base = out["parent"]["median"]
+    if base:
+        out["median_change_rel"] = out["change"]["median"] / base - 1.0
+    out["parent_iqr"] = out["parent"]["q3"] - out["parent"]["q1"]
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent")
+    parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+
+    declared = json.loads((args.change / "BENCHMARK.json").read_text())
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    seconds = declared["run_seconds"]
+    record = {"seconds": seconds, "seeds": list(SEEDS),
+              "order": "pair i runs the parent first when its seed is even",
+              "src_sha256": {s: src_digest(path) for s, path in sides.items()},
+              "workloads": {}}
+    for workload in (w["name"] for w in declared["workloads"]):
+        pairs = []
+        for seed in record["seeds"]:
+            order = ("parent", "change") if seed % 2 == 0 else ("change", "parent")
+            pair = {"seed": seed, "first": order[0]}
+            for side in order:
+                pair[side] = run_once(sides[side], workload, seed, seconds, 0)
+                m = pair[side]["metrics"].get("rounds_per_s", {}).get("value")
+                print(f"{workload} seed {seed} {side}: rounds_per_s {m}, "
+                      f"failed {pair[side]['failed']}", flush=True)
+            pairs.append(pair)
+        entry = {
+            "failed": {s: sum(p[s]["failed"] or 0 for p in pairs) for s in sides},
+            "all_correct": {s: all(p[s]["correct"] for p in pairs) for s in sides},
+            "env": {s: pairs[0][s]["env"] for s in sides},
+            "metrics": {m["name"]: compare(pairs, m["name"], m["better"])
+                        for m in declared["end_to_end"]},
+            "traced": {s: run_once(sides[s], workload, SEEDS[0], seconds, 1) for s in sides},
+        }
+        record["workloads"][workload] = entry
+        args.out.write_text(json.dumps(record, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
