@@ -319,33 +319,36 @@ def log_marginal_likelihood(points, values, hyper: Hyperparams):
     return lml, grad
 
 
-def refit_hyperparams(gp: SparseGP, steps: int, learning_rate: float = 0.05) -> Hyperparams:
-    """Gradient-ascend the log evidence over the current inducing rows.
+def refit_hyperparams(inducing, hyper: Hyperparams, steps: int,
+                      learning_rate: float = 0.05) -> Hyperparams:
+    """Gradient-ascend the log evidence over ``(m, 3)`` inducing rows from ``hyper``.
 
     Optimizes ``(lengthscale, signal_variance, noise_variance)`` in log space
     with Adam; the prior mean is left untouched. With ``steps == 0`` or fewer
     than two inducing rows the input hyperparameters are returned unchanged,
     and any numerical failure mid-ascent abandons the refit the same way.
     """
-    if steps == 0 or len(gp.points) < 2:
-        return gp.hyper
-    nv0 = max(gp.hyper.noise_variance, 1e-10 * gp.hyper.signal_variance)
-    theta = np.log([gp.hyper.lengthscale, gp.hyper.signal_variance, nv0])
+    arr = np.asarray(inducing, dtype=float).reshape(-1, 3)
+    if steps == 0 or len(arr) < 2:
+        return hyper
+    points, values = arr[:, :2], arr[:, 2]
+    nv0 = max(hyper.noise_variance, 1e-10 * hyper.signal_variance)
+    theta = np.log([hyper.lengthscale, hyper.signal_variance, nv0])
     m = np.zeros(3)
     v = np.zeros(3)
     for t in range(1, steps + 1):
         l, sv, nv = np.exp(theta)
         try:
             lml, grad = log_marginal_likelihood(
-                gp.points, gp.values, Hyperparams(l, sv, nv, gp.hyper.prior_mean))
+                points, values, Hyperparams(l, sv, nv, hyper.prior_mean))
         except np.linalg.LinAlgError:
-            return gp.hyper
+            return hyper
         if not (math.isfinite(lml) and np.all(np.isfinite(grad))):
-            return gp.hyper
+            return hyper
         delta, m, v = adam_update(m, v, t, grad, learning_rate)
         theta = theta + delta
         theta = np.clip(theta, -_LOG_BOUND, _LOG_BOUND)
     l, sv, nv = np.exp(theta)
     if not all(map(math.isfinite, (l, sv, nv))):
-        return gp.hyper
-    return Hyperparams(l, sv, nv, gp.hyper.prior_mean)
+        return hyper
+    return Hyperparams(l, sv, nv, hyper.prior_mean)

@@ -323,11 +323,10 @@ def run(config: SimConfig, audit: AccessAudit | None = None, sample_probe=None) 
                     received = [shared[j] for j in partition.neighbors[i]]
                     merged = merge_inducing(agent.gp.inducing, agent.buffer, received)
                     selected = greedy_select(merged, config.M, agent.hyper)
-                    agent.gp = SparseGP.fit(selected, agent.hyper)
                     if config.refit_steps > 0:
-                        refitted = refit_hyperparams(agent.gp, config.refit_steps)
-                        agent.hyper = refitted
-                        agent.gp = agent.gp.with_hyper(refitted)
+                        agent.hyper = refit_hyperparams(selected, agent.hyper,
+                                                        config.refit_steps)
+                    agent.gp = SparseGP.fit(selected, agent.hyper)
                     agent.buffer.clear()
 
         # one motion step down the spatially-informed cost
