@@ -12,7 +12,7 @@ import yaml
 
 from .config import SimConfig, config_from_dict
 from .density import build_scenario
-from .errors import GPCoverError
+from .errors import ConfigurationError, GPCoverError
 from .sim import run, run_lloyd_baseline
 
 CHECKPOINTS = (50, 100, 250, 500)
@@ -22,11 +22,14 @@ SUMMARY_COLUMNS = ("scenario", "n_agents", "seed", "method", "final_cost",
 
 
 def load_config(path) -> SimConfig:
-    """Read a YAML run configuration; raises ``ConfigurationError`` on bad keys."""
+    """Read a YAML run configuration; raises ``ConfigurationError`` on bad YAML or keys."""
     with open(path) as fh:
-        data = yaml.safe_load(fh) or {}
+        try:
+            data = yaml.safe_load(fh) or {}
+        except yaml.YAMLError as exc:
+            raise ConfigurationError(f"config file {path} is not valid YAML: {exc}") from None
     if not isinstance(data, dict):
-        raise GPCoverError(f"config file {path} must contain a mapping")
+        raise ConfigurationError(f"config file {path} must contain a mapping")
     return config_from_dict(data)
 
 

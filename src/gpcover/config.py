@@ -136,14 +136,14 @@ class SimConfig:
              f"signal_variance0 must be positive, got {self.signal_variance0}"),
             (self.noise_variance0 is None or self.noise_variance0 >= 0,
              f"noise_variance0 must be non-negative, got {self.noise_variance0}"),
+            # log-space consensus averages log(noise_variance)
+            (self.noise_variance0 != 0 or not self.log_space_consensus,
+             "noise_variance0 must be positive under log_space_consensus, got 0"),
         ]
         for ok, message in checks:
             if not ok:
                 raise ConfigurationError(message)
-        try:
-            self.domain()
-        except ValueError as exc:
-            raise ConfigurationError(str(exc)) from exc
+        self.domain()
         if self.explicit_positions is not None:
             _position_rows(self.explicit_positions)
         if self.init_mode == "explicit":

@@ -111,9 +111,10 @@ def variance_cost(cell: CellPixels, agent_pos, gp: SparseGP,
 
     The variance is the double integral of ``f(q) f(q') cov(q, q')`` over the
     cell with ``f = 0.5 ||q - p||^2``, evaluated on the pair-budget nodes as
-    ``gw . (Kqq gw - Kqz inv_gram Kzq gw)`` without forming the posterior
-    covariance. When the std falls below ``STD_FLOOR`` it is returned as is
-    with a zero gradient (the direction is numerically meaningless there).
+    ``gw . (Kqq gw - Kqz W^T W Kzq gw)`` with the GP's whitening factor ``W``,
+    without forming the posterior covariance. When the std falls below
+    ``STD_FLOOR`` it is returned as is with a zero gradient (the direction is
+    numerically meaningless there).
     """
     pos = np.asarray(agent_pos, dtype=float).reshape(2)
     if len(cell) == 0:
@@ -124,7 +125,7 @@ def variance_cost(cell: CellPixels, agent_pos, gp: SparseGP,
     cgw = kernel_matrix(nodes, nodes, gp.hyper) @ gw
     if len(gp.points) > 0:
         kq = kernel_matrix(nodes, gp.points, gp.hyper)
-        cgw -= kq @ (gp.inv_gram @ (kq.T @ gw))
+        cgw -= kq @ (gp.whiten.T @ (gp.whiten @ (kq.T @ gw)))
     var = 0.25 * float(gw @ cgw)
     std = float(np.sqrt(max(var, 0.0)))
     if std < STD_FLOOR:

@@ -10,7 +10,11 @@ class OutsideDomainError(GPCoverError, ValueError):
 
 
 class SingularityError(GPCoverError, ArithmeticError):
-    """A gram-matrix extension is numerically rank-deficient."""
+    """A gram matrix is numerically singular.
+
+    Raised when a fit's gram does not factorize even after its one diagonal
+    jitter step, and when a one-point extension's Schur complement is too small.
+    """
 
 
 class ConfigurationError(GPCoverError, ValueError):

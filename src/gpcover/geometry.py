@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import OutsideDomainError
+from .errors import ConfigurationError, OutsideDomainError
 
 
 @dataclass(frozen=True)
@@ -31,9 +31,10 @@ class Domain:
 
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
-            raise ValueError(f"domain must be at least 1x1 pixels, got {self.width}x{self.height}")
+            raise ConfigurationError(
+                f"domain must be at least 1x1 pixels, got {self.width}x{self.height}")
         if not self.cell_size > 0:
-            raise ValueError("cell_size must be positive")
+            raise ConfigurationError(f"cell_size must be positive, got {self.cell_size}")
 
     @property
     def world_width(self) -> float:

@@ -1,8 +1,11 @@
 """Sparse Gaussian-process regression over a greedily chosen inducing set.
 
 Each agent keeps a GP conditioned on a small set of inducing observations
-(a subset of everything it has seen or received), with the gram-matrix
-inverse cached. Greedy inducing selection keeps each candidate's residual
+(a subset of everything it has seen or received). A fit factors the gram
+matrix once, as in Rasmussen & Williams (2006), Algorithm 2.1: it keeps the
+whitening factor ``W = L^-1`` of ``L = cholesky(K + noise I)`` and the mean
+weights ``W^T W (y - m0)``, and every reader and the log evidence work from
+that one factor. Greedy inducing selection keeps each candidate's residual
 variance and updates it by one pivoted-Cholesky column per pick, so a pick
 costs one kernel column instead of a kernel block against every chosen point.
 
@@ -28,8 +31,8 @@ from .errors import SingularityError
 # Schur complements below this are treated as rank-deficient extensions.
 SCHUR_FLOOR = 1e-12
 
-# escalating relative jitter, used only when a from-scratch factorization fails
-_FALLBACK_JITTER = (1e-12, 1e-10, 1e-8)
+# relative diagonal jitter of the one retry when a gram matrix does not factorize
+_JITTER = 1e-12
 
 # log-parameters are clipped here to keep exp() finite during refits
 _LOG_BOUND = 40.0
@@ -86,45 +89,58 @@ def kernel_matrix(a, b, hyper: Hyperparams) -> np.ndarray:
     return d2
 
 
-def _robust_inverse(gram: np.ndarray, signal_variance: float) -> np.ndarray:
-    try:
-        return np.linalg.inv(gram)
-    except np.linalg.LinAlgError:
-        pass
-    eye = np.eye(len(gram))
-    for rel in _FALLBACK_JITTER:
-        try:
-            return np.linalg.inv(gram + rel * signal_variance * eye)
-        except np.linalg.LinAlgError:
-            continue
-    raise SingularityError("gram matrix is not invertible even with diagonal jitter")
+def _whiten(gram: np.ndarray) -> np.ndarray:
+    """``W = L^-1`` for ``L = cholesky(gram)``, so that ``inv(gram) = W.T @ W``.
+
+    Raises ``numpy.linalg.LinAlgError`` when ``gram`` is not positive definite.
+    """
+    return np.linalg.inv(np.linalg.cholesky(gram))
 
 
 @dataclass(frozen=True, eq=False)
 class SparseGP:
-    """GP posterior conditioned on inducing rows, with the inverse gram cached.
+    """GP posterior conditioned on inducing rows, with one factor of the gram cached.
 
-    ``points`` is ``(m, 2)``, ``values`` is ``(m,)`` and ``inv_gram`` is the
-    inverse of ``K(points, points) + noise_variance * I``. Instances are
-    immutable; refits go through :meth:`fit` or :meth:`with_hyper`.
+    ``points`` is ``(m, 2)`` and ``values`` is ``(m,)``. ``whiten`` is
+    ``W = L^-1``, the inverse of the lower Cholesky factor ``L`` of
+    ``K(points, points) + noise_variance * I``, and ``weights`` is
+    ``W.T @ W @ (values - prior_mean)``. The posterior mean is then
+    ``prior_mean + K(q, points) @ weights`` and the covariance is
+    ``K(q, q) - V @ V.T`` with ``V = K(q, points) @ W.T``.
+    Instances are immutable; refits go through :meth:`fit` or :meth:`with_hyper`.
     """
 
     hyper: Hyperparams
     points: np.ndarray
     values: np.ndarray
-    inv_gram: np.ndarray
+    whiten: np.ndarray
+    weights: np.ndarray
 
     @classmethod
     def fit(cls, inducing, hyper: Hyperparams) -> "SparseGP":
-        """Condition a fresh model on ``(m, 3)`` rows of ``[x, y, value]``."""
+        """Condition a fresh model on ``(m, 3)`` rows of ``[x, y, value]``.
+
+        A gram matrix that does not factorize is retried once with
+        ``1e-12 * signal_variance`` added to its diagonal; if that fails too,
+        ``SingularityError`` is raised.
+        """
         arr = np.asarray(inducing, dtype=float).reshape(-1, 3)
         points = arr[:, :2].copy()
         values = arr[:, 2].copy()
         m = len(points)
         if m == 0:
-            return cls(hyper, points, values, np.zeros((0, 0)))
+            return cls(hyper, points, values, np.zeros((0, 0)), np.zeros(0))
         gram = kernel_matrix(points, points, hyper) + hyper.noise_variance * np.eye(m)
-        return cls(hyper, points, values, _robust_inverse(gram, hyper.signal_variance))
+        try:
+            whiten = _whiten(gram)
+        except np.linalg.LinAlgError:
+            try:
+                whiten = _whiten(gram + _JITTER * hyper.signal_variance * np.eye(m))
+            except np.linalg.LinAlgError:
+                raise SingularityError("gram matrix does not factorize even with "
+                                       "diagonal jitter") from None
+        weights = whiten.T @ (whiten @ (values - hyper.prior_mean))
+        return cls(hyper, points, values, whiten, weights)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -146,9 +162,8 @@ def posterior(gp: SparseGP, query) -> tuple[np.ndarray, np.ndarray]:
     if len(gp.points) == 0:
         return np.full(len(q), gp.hyper.prior_mean), prior_cov
     kq = kernel_matrix(q, gp.points, gp.hyper)
-    mean = gp.hyper.prior_mean + kq @ (gp.inv_gram @ (gp.values - gp.hyper.prior_mean))
-    cov = prior_cov - kq @ gp.inv_gram @ kq.T
-    return mean, cov
+    v = kq @ gp.whiten.T
+    return gp.hyper.prior_mean + kq @ gp.weights, prior_cov - v @ v.T
 
 
 def posterior_mean(gp: SparseGP, query) -> np.ndarray:
@@ -157,7 +172,7 @@ def posterior_mean(gp: SparseGP, query) -> np.ndarray:
     if len(gp.points) == 0:
         return np.full(len(q), gp.hyper.prior_mean)
     kq = kernel_matrix(q, gp.points, gp.hyper)
-    return gp.hyper.prior_mean + kq @ (gp.inv_gram @ (gp.values - gp.hyper.prior_mean))
+    return gp.hyper.prior_mean + kq @ gp.weights
 
 
 def _axis_factor(centers: np.ndarray, coords: np.ndarray, lengthscale: float) -> np.ndarray:
@@ -172,7 +187,7 @@ def grid_posterior_mean(gp: SparseGP, xs: np.ndarray, ys: np.ndarray, ix, iy) ->
 
     On a grid the SE kernel factors per axis, ``K(q, z) = sv * ex[ix] * ey[iy]``,
     so the mean over the bounding box of the queried pixels is
-    ``(ey * a) @ ex.T`` with ``a = sv * inv_gram @ (y - m0)``, gathered at
+    ``(ey * a) @ ex.T`` with ``a = sv * weights``, gathered at
     ``(iy, ix)``. The product is taken in row blocks of at most
     ``_SERIAL_GEMM_MACS`` multiply-adds, so its bits do not depend on the BLAS
     thread count. Its temporaries are the ``(Hb, M)`` and ``(Wb, M)`` factors
@@ -187,7 +202,7 @@ def grid_posterior_mean(gp: SparseGP, xs: np.ndarray, ys: np.ndarray, ix, iy) ->
     x0, y0 = int(ix.min()), int(iy.min())
     ex = _axis_factor(xs[x0:int(ix.max()) + 1], gp.points[:, 0], hyper.lengthscale)
     ey = _axis_factor(ys[y0:int(iy.max()) + 1], gp.points[:, 1], hyper.lengthscale)
-    a = hyper.signal_variance * gp.inv_gram @ (gp.values - hyper.prior_mean)
+    a = hyper.signal_variance * gp.weights
     ey *= a
     box = np.empty((len(ey), len(ex)))
     rows = max(1, _SERIAL_GEMM_MACS // (len(ex) * len(a)))
@@ -196,10 +211,10 @@ def grid_posterior_mean(gp: SparseGP, xs: np.ndarray, ys: np.ndarray, ix, iy) ->
     return hyper.prior_mean + box[iy - y0, ix - x0]
 
 
-def smw_extend(inv_gram: np.ndarray, points, new_point, hyper: Hyperparams) -> np.ndarray:
+def smw_extend(inverse: np.ndarray, points, new_point, hyper: Hyperparams) -> np.ndarray:
     """Extend a cached inverse of ``K + noise I`` by one more point.
 
-    Standard block-inverse identity: with ``B = inv_gram``, the new inverse is
+    Standard block-inverse identity: with ``B = inverse``, the new inverse is
     assembled from ``w = B k`` and the Schur complement
     ``s = k(x,x) + noise - k . w``. Raises ``SingularityError`` when ``s``
     falls below ``SCHUR_FLOOR``, which happens when the new point is (nearly)
@@ -214,14 +229,14 @@ def smw_extend(inv_gram: np.ndarray, points, new_point, hyper: Hyperparams) -> n
             raise SingularityError("degenerate kernel: zero variance on the diagonal")
         return np.array([[1.0 / diag]])
     k = kernel_matrix(new_point[None, :], points, hyper)[0]
-    w = inv_gram @ k
+    w = inverse @ k
     schur = diag - float(k @ w)
     if schur < SCHUR_FLOOR:
         raise SingularityError(
             f"rank-deficient extension: Schur complement {schur:.3e} below {SCHUR_FLOOR:.0e}"
         )
     out = np.empty((m + 1, m + 1))
-    out[:m, :m] = inv_gram + np.outer(w, w) / schur
+    out[:m, :m] = inverse + np.outer(w, w) / schur
     out[:m, m] = -w / schur
     out[m, :m] = -w / schur
     out[m, m] = 1.0 / schur
@@ -293,21 +308,21 @@ def log_marginal_likelihood(points, values, hyper: Hyperparams):
 
     Returns ``(lml, grad)`` where ``grad`` is with respect to
     ``log lengthscale``, ``log signal_variance`` and ``log noise_variance``.
-    Raises ``numpy.linalg.LinAlgError`` when the gram matrix cannot be
-    factorized.
+    Works from the same factor as :meth:`SparseGP.fit`, without its jitter
+    retry: ``alpha = W.T @ W @ y``, ``log det = -2 sum log diag W`` and
+    ``inv(gram) = W.T @ W``. Raises ``numpy.linalg.LinAlgError`` when the gram
+    matrix cannot be factorized, so a refit abandons a non-PD step.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     y = np.asarray(values, dtype=float).reshape(-1) - hyper.prior_mean
     n = len(pts)
     d2 = _squared_distances(pts, pts)
     kf = kernel_matrix(pts, pts, hyper)
-    gram = kf + hyper.noise_variance * np.eye(n)
-    chol = np.linalg.cholesky(gram)
-    alpha = np.linalg.solve(gram, y)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
+    whiten = _whiten(kf + hyper.noise_variance * np.eye(n))
+    alpha = whiten.T @ (whiten @ y)
+    logdet = -2.0 * float(np.sum(np.log(np.diag(whiten))))
     lml = -0.5 * float(y @ alpha) - 0.5 * logdet - 0.5 * n * math.log(2.0 * math.pi)
-    inv = np.linalg.inv(gram)
-    w = np.outer(alpha, alpha) - inv
+    w = np.outer(alpha, alpha) - whiten.T @ whiten
     dk_d_log_l = kf * d2 / hyper.lengthscale ** 2
     dk_d_log_sv = kf
     dk_d_log_nv = hyper.noise_variance * np.eye(n)

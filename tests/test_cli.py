@@ -187,8 +187,10 @@ def test_cli_run_command(tmp_path):
 
 
 def test_cli_rejects_bad_config(tmp_path, capsys):
-    # a bad field fails at load time, bad custom blobs when the run builds the scenario
+    # a bad field fails at load time, bad custom blobs when the run builds the scenario;
+    # a string is written as the file's text
     for mapping, field in (
+        ("rounds: [1, 2", "YAML"),
         ({"n_agents": 0}, "n_agents"),
         ({"gp": {"lengthscale0": -1.0}}, "lengthscale0"),
         ({"scenario": "custom", "scenario_params": {"blobs": [[1, 1, -2, 1]]}}, "sigma"),
@@ -206,11 +208,15 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
          "explicit_positions"),
     ):
         config_path = tmp_path / "bad.yaml"
-        config_path.write_text(yaml.safe_dump(mapping))
+        config_path.write_text(mapping if isinstance(mapping, str) else yaml.safe_dump(mapping))
         code = main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and field in err
+    config_path.write_text("rounds: [1, 2")
+    assert main(["batch", str(config_path), "--out", str(tmp_path / "batch")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "YAML" in err
 
 
 def test_cli_scenario_dump(tmp_path):
@@ -222,6 +228,16 @@ def test_cli_scenario_dump(tmp_path):
     assert grid.shape == (54, 96)
     # sigma scales to 1 here, so the best pixel center sits at d^2 = 0.5
     assert grid.max() == pytest.approx(math.exp(-0.25), rel=1e-6)
+
+
+def test_cli_scenario_rejects_bad_grid_arguments(tmp_path, capsys):
+    out = tmp_path / "grid.csv"
+    for args, field in ((["--width", "0"], "1x1"), (["--cell-size", "-1"], "cell_size")):
+        code = main(["scenario", "--name", "uniform", *args, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err
+    assert not out.exists()
 
 
 def test_cli_batch_command(tmp_path):

@@ -77,8 +77,10 @@ def _dense_std(cell, pos, gp, budget):
     gw = (diff ** 2).sum(axis=1) * weights
     cov = kernel_matrix(nodes, nodes, gp.hyper)
     if len(gp) > 0:
+        gram = kernel_matrix(gp.points, gp.points, gp.hyper) \
+            + gp.hyper.noise_variance * np.eye(len(gp))
         kq = kernel_matrix(nodes, gp.points, gp.hyper)
-        cov = cov - kq @ gp.inv_gram @ kq.T
+        cov = cov - kq @ np.linalg.inv(gram) @ kq.T
     cgw = cov @ gw
     std = float(np.sqrt(max(0.25 * float(gw @ cgw), 0.0)))
     return std, -(diff * (weights * cgw)[:, None]).sum(axis=0) / (2.0 * std)

@@ -158,17 +158,27 @@ def test_inverse_residual_is_small():
     rng = np.random.default_rng(8)
     gp = SparseGP.fit(_random_inducing(rng, 40), HYPER)
     gram = kernel_matrix(gp.points, gp.points, HYPER) + HYPER.noise_variance * np.eye(40)
-    assert np.linalg.norm(gp.inv_gram @ gram - np.eye(40)) < 1e-8
+    assert np.linalg.norm(gp.whiten @ gram @ gp.whiten.T - np.eye(40)) < 1e-8
+    np.testing.assert_allclose(gram @ gp.weights, gp.values - HYPER.prior_mean,
+                               rtol=0, atol=1e-10)
 
 
-def test_singular_gram_falls_back_to_the_first_jitter():
+def test_singular_gram_falls_back_to_the_first_jitter(monkeypatch):
     # a duplicated noiseless row makes the gram exactly singular
     gram = np.ones((2, 2))
     with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.inv(gram)
+        np.linalg.cholesky(gram)
     gp = SparseGP.fit([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]], Hyperparams(1.0, 1.0, 0.0))
-    np.testing.assert_array_equal(gp.inv_gram, np.linalg.inv(gram + 1e-12 * np.eye(2)))
+    np.testing.assert_array_equal(
+        gp.whiten, np.linalg.inv(np.linalg.cholesky(gram + 1e-12 * np.eye(2))))
     assert posterior_mean(gp, [[0.0, 0.0]])[0] == pytest.approx(1.0, abs=1e-3)
+
+    # one retry only: a gram that still does not factorize is an error
+    def not_positive_definite(_):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+    monkeypatch.setattr(np.linalg, "cholesky", not_positive_definite)
+    with pytest.raises(SingularityError):
+        SparseGP.fit([[0.0, 0.0, 1.0]], HYPER)
 
 
 @settings(max_examples=30, deadline=None)

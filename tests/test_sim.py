@@ -317,11 +317,13 @@ def test_config_validation_rejects_bad_values():
                       dict(prior_mean0=None), dict(log_space_consensus="no"),
                       dict(explicit_positions=((1.0,),)),
                       dict(explicit_positions=((3.0, 4.0, 5.0),)),
-                      dict(explicit_positions=(("1", 2.0),))):
+                      dict(explicit_positions=(("1", 2.0),)), dict(noise_variance0=0.0)):
         with pytest.raises(ConfigurationError, match=next(iter(overrides))):
             SimConfig(**overrides).validate()
     # numpy integers are integers
     SimConfig(n_agents=np.int64(3), seed=np.int32(2)).validate()
+    # zero noise is fine when consensus averages the noise variance linearly
+    SimConfig(noise_variance0=0.0, log_space_consensus=False).validate()
     with pytest.raises(ConfigurationError):
         SimConfig(init_mode="explicit", n_agents=2,
                   explicit_positions=((1.0, 1.0),)).validate()
