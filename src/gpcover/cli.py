@@ -164,10 +164,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except GPCoverError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (GPCoverError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -38,6 +38,22 @@ def _position_rows(value) -> tuple[tuple[float, float], ...]:
     return tuple((float(x), float(y)) for x, y in rows)
 
 
+def _check_inducing_blocks(value, n_agents: int) -> None:
+    """``initial_inducing`` holds one ``(m, 3)`` block of finite numbers per agent, or empty."""
+    if not isinstance(value, (list, tuple, np.ndarray)) or len(value) != n_agents:
+        raise ConfigurationError(f"initial_inducing must provide one block per agent ({n_agents})")
+    for i, block in enumerate(value):
+        try:
+            arr = np.asarray(block)
+            ok = arr.size == 0 or (arr.dtype.kind in "iuf" and arr.shape[1:] == (3,)
+                                   and bool(np.isfinite(arr).all()))
+        except ValueError:  # ragged rows
+            ok = False
+        if not ok:
+            raise ConfigurationError(f"initial_inducing[{i}] must be an (m, 3) array of finite "
+                                     f"[x, y, value] rows, got {block!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class SimConfig:
     """Everything that determines a run, including its random seed.
@@ -143,14 +159,19 @@ class SimConfig:
         for ok, message in checks:
             if not ok:
                 raise ConfigurationError(message)
-        self.domain()
+        domain = self.domain()
         if self.explicit_positions is not None:
-            _position_rows(self.explicit_positions)
+            rows = _position_rows(self.explicit_positions)
         if self.init_mode == "explicit":
-            pos = self.explicit_positions
-            if pos is None or len(pos) != self.n_agents:
+            if self.explicit_positions is None or len(rows) != self.n_agents:
                 raise ConfigurationError(
                     "explicit init requires explicit_positions with one entry per agent")
+            for i, (x, y) in enumerate(rows):
+                if not domain.contains((x, y)):
+                    raise ConfigurationError(f"explicit_positions[{i}] at ({x}, {y}) is "
+                                             f"outside the workspace")
+        if self.initial_inducing is not None:
+            _check_inducing_blocks(self.initial_inducing, self.n_agents)
 
     def with_overrides(self, **kwargs) -> "SimConfig":
         cfg = replace(self, **kwargs)

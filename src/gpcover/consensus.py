@@ -16,6 +16,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .gp import Hyperparams
 
+# in Hyperparams field order, ahead of prior_mean
 _POSITIVE_CHANNELS = ("lengthscale", "signal_variance", "noise_variance")
 
 
@@ -68,12 +69,5 @@ def consensus_step(params, laplacian, config: ConsensusConfig) -> list[Hyperpara
     prior = np.array([p.prior_mean for p in params], dtype=float)
     prior = prior - config.alpha * (lap @ prior)
 
-    return [
-        Hyperparams(
-            lengthscale=float(updated["lengthscale"][i]),
-            signal_variance=float(updated["signal_variance"][i]),
-            noise_variance=float(updated["noise_variance"][i]),
-            prior_mean=float(prior[i]),
-        )
-        for i in range(n)
-    ]
+    channels = [updated[name] for name in _POSITIVE_CHANNELS] + [prior]
+    return [Hyperparams(*map(float, values)) for values in zip(*channels)]

@@ -123,7 +123,12 @@ def step(pos, gradient, state: OptimizerState,
                                  -state.eta_adam)
         new_state = replace(state, adam_m=tuple(m), adam_v=tuple(v), adam_t=t)
 
+    return _capped_move(p, disp, state.v_max, domain), new_state
+
+
+def _capped_move(pos, disp, v_max: float, domain: Domain) -> np.ndarray:
+    """``pos + disp`` with the displacement capped at ``v_max``, clamped to the workspace."""
     speed = float(np.linalg.norm(disp))
-    if speed > state.v_max:
-        disp = disp * (state.v_max / speed)
-    return domain.clamp(p + disp), new_state
+    if speed > v_max:
+        disp = disp * (v_max / speed)
+    return domain.clamp(pos + disp)

@@ -163,16 +163,11 @@ def cell_cost_report(cell: CellPixels, agent_pos, gp: SparseGP,
                           grad_expected + root_beta * grad_std)
 
 
-def true_locational_cost(positions, partition: VoronoiPartition,
-                         density: DensityField) -> float:
+def true_locational_cost(partition: VoronoiPartition, density: DensityField) -> float:
     """Ground-truth coverage cost of a configuration on the full pixel grid.
 
-    Integrates ``0.5 ||q - p_owner(q)||^2 phi(q)`` over the workspace. This
-    is a privileged metric: agents never see the true density.
+    Integrates ``0.5 ||q - p_owner(q)||^2 phi(q)`` over the workspace, with
+    the squared distances the partition already holds (``partition.dist2``).
+    This is a privileged metric: agents never see the true density.
     """
-    pos = np.atleast_2d(np.asarray(positions, dtype=float))
-    domain = density.domain
-    xs, ys = domain.axis_centers()
-    d2 = (xs[None, :] - pos[partition.owner, 0]) ** 2 \
-        + (ys[:, None] - pos[partition.owner, 1]) ** 2
-    return float(0.5 * np.sum(d2 * density.values) * domain.pixel_area)
+    return float(0.5 * np.sum(partition.dist2 * density.values) * density.domain.pixel_area)

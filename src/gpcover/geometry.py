@@ -4,6 +4,10 @@ The workspace is a rectangle discretized into square pixels. Ownership of a
 pixel goes to the nearest agent (measured at the pixel center), ties to the
 lowest agent index. Two agents are neighbors when their regions share at
 least one 4-adjacent pixel edge, which on a grid is the Delaunay relation.
+
+:func:`compute_partition` is the one place that measures pixel-to-agent
+distances; the partition keeps each pixel's squared distance to its owner
+for the locational cost. Pixel centres come from :meth:`Domain.axis_centers`.
 """
 
 from __future__ import annotations
@@ -58,15 +62,6 @@ class Domain:
         ys = (np.arange(self.height) + 0.5) * self.cell_size
         return xs, ys
 
-    @cached_property
-    def pixel_centers(self) -> np.ndarray:
-        """All pixel centers, shape ``(H * W, 2)``, row-major (y outer)."""
-        xs, ys = self.axis_centers()
-        gx, gy = np.meshgrid(xs, ys)
-        out = np.column_stack([gx.ravel(), gy.ravel()])
-        out.setflags(write=False)
-        return out
-
     def contains(self, point) -> bool:
         x, y = float(point[0]), float(point[1])
         return 0.0 <= x <= self.world_width and 0.0 <= y <= self.world_height
@@ -81,13 +76,16 @@ class Domain:
 class VoronoiPartition:
     """Pixel ownership plus the neighbor graph it induces.
 
-    ``owner`` is ``(H, W)`` with the winning agent index per pixel.
-    ``cells[i]`` holds agent i's pixels as sorted flat row-major indices.
+    ``owner`` is ``(H, W)`` with the winning agent index per pixel and
+    ``dist2`` is ``(H, W)`` with each pixel centre's squared distance to its
+    owner, ``(x - px)^2 + (y - py)^2``. ``cells[i]`` holds agent i's pixels
+    as sorted flat row-major indices.
     ``neighbors[i]`` is a sorted tuple of adjacent agent indices and
     ``laplacian`` is the integer graph Laplacian ``D - A`` of that relation.
     """
 
     owner: np.ndarray
+    dist2: np.ndarray
     cells: tuple[np.ndarray, ...]
     neighbors: tuple[tuple[int, ...], ...]
     laplacian: np.ndarray
@@ -119,7 +117,9 @@ class CellPixels:
 
     @cached_property
     def centers(self) -> np.ndarray:
-        return self.domain.pixel_centers[self.index]
+        xs, ys = self.domain.axis_centers()
+        iy, ix = np.divmod(self.index, self.domain.width)
+        return np.column_stack([xs[ix], ys[iy]])
 
     @property
     def geometric_center(self) -> np.ndarray:
@@ -131,9 +131,10 @@ class CellPixels:
 def compute_partition(positions, domain: Domain) -> VoronoiPartition:
     """Assign every pixel to its nearest agent and build the neighbor graph.
 
-    Distances are compared between pixel centers and agent positions; exact
-    ties go to the lowest agent index. Raises ``OutsideDomainError`` if any
-    position falls outside the workspace rectangle.
+    Distances are compared between pixel centers and agent positions, exact
+    ties go to the lowest agent index, and the winning squared distances are
+    kept as ``dist2``. Raises ``OutsideDomainError`` if any position falls
+    outside the workspace rectangle.
     """
     pos = np.atleast_2d(np.asarray(positions, dtype=float))
     if pos.ndim != 2 or pos.shape[1] != 2 or len(pos) == 0:
@@ -156,14 +157,9 @@ def compute_partition(positions, domain: Domain) -> VoronoiPartition:
         np.copyto(owner, i, where=closer)
 
     n = len(pos)
-    flat = owner.ravel()
-    order = np.argsort(flat, kind="stable")
-    counts = np.bincount(flat, minlength=n)
-    bounds = np.concatenate([[0], np.cumsum(counts)])
-    cells = tuple(order[bounds[i]:bounds[i + 1]] for i in range(n))
-
+    cells = tuple(np.flatnonzero(owner.ravel() == i) for i in range(n))
     neighbors = _adjacent_pairs(owner, n)
-    return VoronoiPartition(owner, cells, neighbors, laplacian_of(neighbors))
+    return VoronoiPartition(owner, best, cells, neighbors, laplacian_of(neighbors))
 
 
 def _adjacent_pairs(owner: np.ndarray, n: int) -> tuple[tuple[int, ...], ...]:

@@ -17,10 +17,10 @@ import numpy as np
 
 from .config import SimConfig
 from .consensus import ConsensusConfig, consensus_step
-from .control import OptimizerState, step as control_step, record_std
+from .control import OptimizerState, _capped_move, step as control_step, record_std
 from .cost import QuadratureSpec, cell_cost_report, mass_centroid, true_locational_cost
 from .density import DensityField, bilinear, build_scenario
-from .errors import ConfigurationError, DecentralizationError
+from .errors import DecentralizationError
 from .geometry import Domain, cell_pixels, compute_partition
 from .gp import Hyperparams, SparseGP, greedy_select, merge_inducing, posterior_mean, \
     refit_hyperparams
@@ -174,11 +174,7 @@ def initial_positions(config: SimConfig, domain: Domain) -> np.ndarray:
     perturbs the positions of existing ones.
     """
     if config.init_mode == "explicit":
-        pos = np.array(config.explicit_positions, dtype=float)
-        for i, p in enumerate(pos):
-            if not domain.contains(p):
-                raise ConfigurationError(f"explicit position {i} at {tuple(p)} is outside the workspace")
-        return pos
+        return np.array(config.explicit_positions, dtype=float)
     if config.init_mode == "cluster":
         lo, hi = _corner_box(domain, config.cluster_corner)
     else:
@@ -212,8 +208,6 @@ def _initial_hyper(config: SimConfig, domain: Domain, field: DensityField,
 def _init_agents(config: SimConfig, domain: Domain, field: DensityField, noise_sigma: float,
                  positions: np.ndarray, audit: AccessAudit) -> list[AgentState]:
     seeds = config.initial_inducing
-    if seeds is not None and len(seeds) != config.n_agents:
-        raise ConfigurationError("initial_inducing must provide one block per agent")
     agents = []
     for i in range(config.n_agents):
         hyper = _initial_hyper(config, domain, field, noise_sigma, i)
@@ -253,7 +247,7 @@ def _rollout(config: SimConfig, domain: Domain, field: DensityField,
         current, rmse[t], messages[t], inducing_counts[t] = advance(t, current, partition)
         partition = compute_partition(current, domain)
         positions_log[t] = current
-        true_cost[t] = true_locational_cost(current, partition, field)
+        true_cost[t] = true_locational_cost(partition, field)
     return SimTrace(positions.copy(), np.arange(1, rounds + 1), true_cost, rmse, messages,
                     positions_log, inducing_counts)
 
@@ -373,10 +367,7 @@ def run_lloyd_baseline(config: SimConfig) -> SimTrace:
                 continue
             _, centroid = mass_centroid(cell, flat_values[partition.cells[i]])
             disp = config.lloyd_gamma * (centroid - positions[i])
-            speed = float(np.linalg.norm(disp))
-            if speed > config.v_max:
-                disp = disp * (config.v_max / speed)
-            new_positions[i] = domain.clamp(positions[i] + disp)
+            new_positions[i] = _capped_move(positions[i], disp, config.v_max, domain)
         return new_positions, np.nan, 0, 0
 
     return _rollout(config, domain, field, initial_positions(config, domain), advance)

@@ -14,8 +14,18 @@ import numpy as np
 
 def brute_force_owner(positions, domain) -> np.ndarray:
     """Per-pixel nearest-agent assignment via plain Python loops; ties to lowest index."""
+    return brute_force_nearest(positions, domain)[0]
+
+
+def brute_force_nearest(positions, domain) -> tuple[np.ndarray, np.ndarray]:
+    """Per-pixel nearest agent (ties to lowest index) and its squared distance.
+
+    Squares are products, which IEEE rounds exactly; Python's ``float ** 2``
+    goes through libm ``pow`` and can be 1 ulp off.
+    """
     pos = [(float(p[0]), float(p[1])) for p in positions]
     owner = np.empty((domain.height, domain.width), dtype=int)
+    dist2 = np.empty((domain.height, domain.width))
     s = domain.cell_size
     for iy in range(domain.height):
         cy = (iy + 0.5) * s
@@ -23,11 +33,13 @@ def brute_force_owner(positions, domain) -> np.ndarray:
             cx = (ix + 0.5) * s
             best, best_d2 = 0, math.inf
             for i, (px, py) in enumerate(pos):
-                d2 = (cx - px) ** 2 + (cy - py) ** 2
+                dx, dy = cx - px, cy - py
+                d2 = dx * dx + dy * dy
                 if d2 < best_d2:
                     best, best_d2 = i, d2
             owner[iy, ix] = best
-    return owner
+            dist2[iy, ix] = best_d2
+    return owner, dist2
 
 
 def se_kernel_matrix(a, b, lengthscale, signal_variance) -> np.ndarray:

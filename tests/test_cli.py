@@ -206,6 +206,15 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
          "explicit_positions"),
         ({"n_agents": 1, "init": {"init_mode": "explicit", "explicit_positions": [[3, 4, 5]]}},
          "explicit_positions"),
+        ({"domain": {"width": 24, "height": 14}, "n_agents": 1,
+          "init": {"init_mode": "explicit", "explicit_positions": [[200, 5]]}},
+         "explicit_positions[0] at (200.0, 5.0)"),
+        ({"domain": {"width": 24, "height": 14}, "n_agents": 2, "rounds": 1,
+          "initial_inducing": [[[float("nan"), 1.0, 1.0]], [[2.0, 2.0, 1.0]]]},
+         "initial_inducing[0]"),
+        ({"domain": {"width": 24, "height": 14}, "n_agents": 2, "rounds": 1,
+          "initial_inducing": [[[1.0, 1.0]], [[2.0, 2.0, 1.0]]]}, "initial_inducing[0]"),
+        ({"n_agents": 2, "initial_inducing": [[[1.0, 1.0, 1.0]]]}, "initial_inducing"),
     ):
         config_path = tmp_path / "bad.yaml"
         config_path.write_text(mapping if isinstance(mapping, str) else yaml.safe_dump(mapping))

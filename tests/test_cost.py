@@ -279,7 +279,7 @@ def test_true_cost_of_uniform_unit_density_by_hand():
     density = DensityField.constant(domain, 1.0)
     part = compute_partition([[1.0, 1.0]], domain)
     # four pixels each at squared distance 0.5 from the center
-    assert true_locational_cost([[1.0, 1.0]], part, density) == pytest.approx(1.0)
+    assert true_locational_cost(part, density) == pytest.approx(1.0)
 
 
 def test_true_cost_matches_slow_double_loop():
@@ -294,14 +294,14 @@ def test_true_cost_matches_slow_double_loop():
             q = np.array([ix + 0.5, iy + 0.5])
             p = pos[part.owner[iy, ix]]
             expected += 0.5 * float(((q - p) ** 2).sum()) * density.values[iy, ix]
-    assert true_locational_cost(pos, part, density) == pytest.approx(expected, rel=1e-12)
+    assert true_locational_cost(part, density) == pytest.approx(expected, rel=1e-12)
 
 
 def test_true_cost_is_zero_for_zero_density():
     domain = Domain(6, 6)
     density = DensityField.constant(domain, 0.0)
     part = compute_partition([[3.0, 3.0]], domain)
-    assert true_locational_cost([[3.0, 3.0]], part, density) == 0.0
+    assert true_locational_cost(part, density) == 0.0
 
 
 def test_quadrature_spec_validates_bounds():

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from gpcover import (Domain, OutsideDomainError, cell_pixels, compute_partition,
                      laplacian_of)
 
-from oracles import brute_force_owner
+from oracles import brute_force_nearest, brute_force_owner
 
 
 def test_single_agent_owns_everything():
@@ -53,7 +53,10 @@ def test_matches_brute_force_oracle_on_seeded_configs():
                 [[3.3, 7.1], [15.0, 2.0], [3.3, 7.1]]]
     for pos in configs:
         part = compute_partition(pos, domain)
-        np.testing.assert_array_equal(part.owner, brute_force_owner(pos, domain))
+        owner, dist2 = brute_force_nearest(pos, domain)
+        np.testing.assert_array_equal(part.owner, owner)
+        # the kept running minimum is the exact nearest squared distance, ties included
+        np.testing.assert_array_equal(part.dist2, dist2)
 
 
 def test_cells_are_sorted_flat_indices_partitioning_the_grid():
@@ -128,6 +131,17 @@ def test_cell_pixels_returns_centers_with_area():
     assert len(cell) == 8
     np.testing.assert_allclose(cell.centers[0], [0.25, 0.25])
     np.testing.assert_allclose(cell.geometric_center, [0.5, 1.0])
+
+    # on a non-square grid the centres equal a meshgrid table gathered at the cell
+    domain = Domain(7, 3, cell_size=0.5)
+    part = compute_partition([[0.4, 0.3], [2.9, 1.2], [1.7, 0.9]], domain)
+    xs, ys = domain.axis_centers()
+    gx, gy = np.meshgrid(xs, ys)
+    table = np.column_stack([gx.ravel(), gy.ravel()])
+    for i in range(3):
+        cell = cell_pixels(part, i, domain)
+        assert len(cell) > 0
+        np.testing.assert_array_equal(cell.centers, table[part.cells[i]])
 
 
 @settings(max_examples=40, deadline=None)

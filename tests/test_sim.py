@@ -317,9 +317,22 @@ def test_config_validation_rejects_bad_values():
                       dict(prior_mean0=None), dict(log_space_consensus="no"),
                       dict(explicit_positions=((1.0,),)),
                       dict(explicit_positions=((3.0, 4.0, 5.0),)),
-                      dict(explicit_positions=(("1", 2.0),)), dict(noise_variance0=0.0)):
+                      dict(explicit_positions=(("1", 2.0),)), dict(noise_variance0=0.0),
+                      dict(initial_inducing=(np.zeros((1, 3)),) * 3),
+                      dict(initial_inducing=(((np.nan, 1.0, 1.0),),) + (np.zeros((0, 3)),) * 3),
+                      dict(initial_inducing=(((1.0, 2.0),),) * 4),
+                      dict(initial_inducing=((("1", 2.0, 3.0),),) * 4),
+                      dict(initial_inducing=(((1.0, 2.0, 3.0), (4.0,)),) * 4),
+                      dict(initial_inducing=5)):
         with pytest.raises(ConfigurationError, match=next(iter(overrides))):
             SimConfig(**overrides).validate()
+    # explicit positions outside the workspace fail up front, named and in plain floats
+    with pytest.raises(ConfigurationError,
+                       match=r"explicit_positions\[1\] at \(200\.0, 5\.0\) is outside"):
+        SimConfig(width=24, height=14, n_agents=2, init_mode="explicit",
+                  explicit_positions=((1.0, 1.0), (200.0, 5.0))).validate()
+    # empty blocks are allowed, as are rows of integers
+    SimConfig(n_agents=2, initial_inducing=(np.zeros((0, 3)), [[1, 2, 3]])).validate()
     # numpy integers are integers
     SimConfig(n_agents=np.int64(3), seed=np.int32(2)).validate()
     # zero noise is fine when consensus averages the noise variance linearly
