@@ -7,6 +7,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
+from .density import check_scenario
 from .errors import ConfigurationError
 from .geometry import Domain
 
@@ -109,7 +110,12 @@ class SimConfig:
         return Domain(self.width, self.height, self.cell_size)
 
     def validate(self) -> None:
-        """Raise ``ConfigurationError`` on any mistyped or out-of-range field."""
+        """Raise ``ConfigurationError`` on any mistyped or out-of-range field.
+
+        ``scenario`` and ``scenario_params`` go through
+        :func:`gpcover.density.check_scenario`, the checks that
+        ``build_scenario`` makes, without rasterizing the density.
+        """
         for name in _INT_FIELDS:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -172,6 +178,7 @@ class SimConfig:
                                              f"outside the workspace")
         if self.initial_inducing is not None:
             _check_inducing_blocks(self.initial_inducing, self.n_agents)
+        check_scenario(self.scenario, self.scenario_params)
 
     def with_overrides(self, **kwargs) -> "SimConfig":
         cfg = replace(self, **kwargs)

@@ -30,6 +30,11 @@ STD_FLOOR = 1e-9
 
 _MASS_FLOOR = 1e-12
 
+# variance_cost forms ``Kqq @ gw`` this many node rows at a time, so the k x k
+# table is never allocated; blocks start at multiples of 64, where a row-blocked
+# GEMV gives the same bits as the one-table GEMV
+_NODE_BLOCK = 64
+
 
 @dataclass(frozen=True)
 class QuadratureSpec:
@@ -112,7 +117,9 @@ def variance_cost(cell: CellPixels, agent_pos, gp: SparseGP,
     The variance is the double integral of ``f(q) f(q') cov(q, q')`` over the
     cell with ``f = 0.5 ||q - p||^2``, evaluated on the pair-budget nodes as
     ``gw . (Kqq gw - Kqz W^T W Kzq gw)`` with the GP's whitening factor ``W``,
-    without forming the posterior covariance. When the std falls below
+    without forming the posterior covariance. ``Kqq gw`` is formed
+    ``_NODE_BLOCK`` kernel rows at a time, so no k x k table is allocated;
+    its bits equal the one-table product's. When the std falls below
     ``STD_FLOOR`` it is returned as is with a zero gradient (the direction is
     numerically meaningless there).
     """
@@ -122,7 +129,10 @@ def variance_cost(cell: CellPixels, agent_pos, gp: SparseGP,
     nodes, weights = _pair_nodes(cell, quad.pair_budget)
     diff = nodes - pos
     gw = (diff ** 2).sum(axis=1) * weights
-    cgw = kernel_matrix(nodes, nodes, gp.hyper) @ gw
+    cgw = np.empty(len(nodes))
+    for start in range(0, len(nodes), _NODE_BLOCK):
+        block = slice(start, start + _NODE_BLOCK)
+        cgw[block] = kernel_matrix(nodes[block], nodes, gp.hyper) @ gw
     if len(gp.points) > 0:
         kq = kernel_matrix(nodes, gp.points, gp.hyper)
         cgw -= kq @ (gp.whiten.T @ (gp.whiten @ (kq.T @ gw)))
@@ -136,8 +146,11 @@ def variance_cost(cell: CellPixels, agent_pos, gp: SparseGP,
 def mass_centroid(cell: CellPixels, values) -> tuple[float, np.ndarray]:
     """Estimated cell mass and centroid from per-pixel density values.
 
-    ``values`` aligns with ``cell.centers``. When the mass is numerically
-    zero the centroid falls back to the cell's geometric center.
+    ``values`` holds one density value per pixel of ``cell.index``. The
+    first moments are per-axis products summed in sequence, which gives the
+    bits of ``(cell.centers * vw[:, None]).sum(axis=0)`` without building
+    either ``(k, 2)`` table. When the mass is numerically zero the centroid
+    falls back to the cell's geometric center.
     """
     vals = np.asarray(values, dtype=float).reshape(-1)
     if len(vals) != len(cell):
@@ -146,7 +159,14 @@ def mass_centroid(cell: CellPixels, values) -> tuple[float, np.ndarray]:
     mass = float(vw.sum())
     if mass < _MASS_FLOOR:
         return mass, np.array(cell.geometric_center, dtype=float)
-    return mass, (cell.centers * vw[:, None]).sum(axis=0) / mass
+    # floor division by a scalar is several times faster than np.divmod
+    iy = cell.index // cell.domain.width
+    ix = cell.index - iy * cell.domain.width
+    xs, ys = cell.domain.axis_centers()
+    # cumsum adds in index order, as the column sums of a (k, 2) table do;
+    # a pairwise sum() would round differently
+    moments = [np.cumsum(axis.take(i) * vw)[-1] for axis, i in ((xs, ix), (ys, iy))]
+    return mass, np.array(moments) / mass
 
 
 def cell_cost_report(cell: CellPixels, agent_pos, gp: SparseGP,

@@ -7,8 +7,9 @@ widths with the horizontal scale factor.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
-from math import floor
+from math import floor, isfinite
 
 import numpy as np
 
@@ -155,31 +156,71 @@ _SCENARIOS = {
 }
 
 
+def _finite_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and isfinite(value)
+
+
+def _custom_mixture(params) -> GaussianMixture:
+    params = params or {}
+    if not isinstance(params, dict):
+        raise ConfigurationError(
+            f"scenario_params of the custom scenario must be a mapping, got {params!r}")
+    for key in params:
+        if key not in ("blobs", "background"):
+            raise ConfigurationError(
+                f"unknown scenario_params key {key!r}; expected blobs or background")
+    rows = params.get("blobs", ())
+    if not isinstance(rows, (list, tuple)):
+        raise ConfigurationError(f"scenario_params blobs must be a list of rows, got {rows!r}")
+    blobs = []
+    for i, row in enumerate(rows):
+        if not (isinstance(row, (list, tuple)) and len(row) == 4
+                and all(map(_finite_number, row))):
+            raise ConfigurationError(f"scenario_params blobs[{i}] must be four finite numbers "
+                                     f"[cx, cy, sigma, amplitude], got {row!r}")
+        cx, cy, sigma, amplitude = map(float, row)
+        if not sigma > 0:
+            raise ConfigurationError(
+                f"scenario_params blobs[{i}] sigma must be positive, got {sigma}")
+        if amplitude < 0:
+            raise ConfigurationError(
+                f"scenario_params blobs[{i}] amplitude must be non-negative, got {amplitude}")
+        blobs.append(GaussianBlob((cx, cy), sigma, amplitude))
+    background = params.get("background", 0.0)
+    if not (_finite_number(background) and background >= 0):
+        raise ConfigurationError(
+            f"scenario_params background must be a non-negative number, got {background!r}")
+    return GaussianMixture(tuple(blobs), float(background))
+
+
+def check_scenario(name, params=None) -> GaussianMixture | None:
+    """Check a scenario name and its parameters without rasterizing anything.
+
+    Returns the ``custom`` scenario's mixture and ``None`` for a named
+    scenario; raises ``ConfigurationError`` on an unknown name, on parameters
+    given to a named scenario, and on bad custom parameters. Custom
+    amplitudes and background must be non-negative, so every mixture that
+    passes rasterizes to a valid density.
+    """
+    if name == "custom":
+        return _custom_mixture(params)
+    if not isinstance(name, str) or name not in _SCENARIOS:
+        known = ", ".join(sorted([*_SCENARIOS, "custom"]))
+        raise ConfigurationError(f"unknown scenario {name!r}; expected one of: {known}")
+    if params:
+        raise ConfigurationError(f"scenario {name!r} takes no scenario_params")
+    return None
+
+
 def build_scenario(name: str, domain: Domain, params: dict | None = None) -> DensityField:
     """Construct a named density scenario on the given domain.
 
     ``custom`` takes ``params`` with ``blobs`` (rows of
     ``[cx, cy, sigma, amplitude]`` in world coordinates) and an optional
-    ``background``. The named scenarios take no parameters.
+    ``background``. The named scenarios take no parameters. The checks are
+    those of :func:`check_scenario`.
     """
-    if name == "custom":
-        params = params or {}
-        if not isinstance(params, dict):
-            raise ConfigurationError(f"custom scenario params must be a mapping, got {params!r}")
-        for key in params:
-            if key not in ("blobs", "background"):
-                raise ConfigurationError(
-                    f"unknown custom scenario parameter {key!r}; expected blobs or background")
-        try:
-            blobs = tuple(GaussianBlob((float(b[0]), float(b[1])), float(b[2]), float(b[3]))
-                          for b in params.get("blobs", ()))
-            background = float(params.get("background", 0.0))
-            return DensityField.from_mixture(domain, GaussianMixture(blobs, background))
-        except (ValueError, TypeError, IndexError) as exc:
-            raise ConfigurationError(f"custom scenario params {params}: {exc}") from exc
-    if name not in _SCENARIOS:
-        known = ", ".join(sorted([*_SCENARIOS, "custom"]))
-        raise ConfigurationError(f"unknown scenario {name!r}; expected one of: {known}")
-    if params:
-        raise ConfigurationError(f"scenario {name!r} takes no parameters")
-    return _SCENARIOS[name](domain)
+    mixture = check_scenario(name, params)
+    if mixture is None:
+        return _SCENARIOS[name](domain)
+    return DensityField.from_mixture(domain, mixture)

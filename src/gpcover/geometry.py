@@ -19,6 +19,10 @@ import numpy as np
 
 from .errors import ConfigurationError, OutsideDomainError
 
+# compute_partition sweeps the grid in row blocks of about this many pixels,
+# so its per-agent distance and mask temporaries stay in cache
+_PARTITION_BLOCK_PIXELS = 32768
+
 
 @dataclass(frozen=True)
 class Domain:
@@ -133,8 +137,13 @@ def compute_partition(positions, domain: Domain) -> VoronoiPartition:
 
     Distances are compared between pixel centers and agent positions, exact
     ties go to the lowest agent index, and the winning squared distances are
-    kept as ``dist2``. Raises ``OutsideDomainError`` if any position falls
-    outside the workspace rectangle.
+    kept as ``dist2``. The running minimum over agents sweeps the grid in
+    row blocks of about ``_PARTITION_BLOCK_PIXELS`` pixels, from per-agent
+    squared offsets along each axis; each pixel sees the same sums and
+    comparisons as in one full-grid pass, so the result does not depend on
+    the block size.
+    Raises ``OutsideDomainError`` if any position falls outside the
+    workspace rectangle.
     """
     pos = np.atleast_2d(np.asarray(positions, dtype=float))
     if pos.ndim != 2 or pos.shape[1] != 2 or len(pos) == 0:
@@ -146,15 +155,22 @@ def compute_partition(positions, domain: Domain) -> VoronoiPartition:
     # running minimum over agents; a later agent takes a pixel only when it
     # is strictly closer, so exact ties stay with the lowest index
     xs, ys = domain.axis_centers()
+    dx2 = (xs[None, :] - pos[:, :1]) ** 2
+    dy2 = (ys[None, :] - pos[:, 1:]) ** 2
     best = np.full((domain.height, domain.width), np.inf)
-    d2 = np.empty_like(best)
-    closer = np.empty(best.shape, dtype=bool)
     owner = np.zeros(best.shape, dtype=np.intp)
-    for i, (px, py) in enumerate(pos):
-        np.add((xs[None, :] - px) ** 2, (ys[:, None] - py) ** 2, out=d2)
-        np.less(d2, best, out=closer)
-        np.copyto(best, d2, where=closer)
-        np.copyto(owner, i, where=closer)
+    rows = max(1, min(domain.height, _PARTITION_BLOCK_PIXELS // domain.width))
+    d2_buf = np.empty((rows, domain.width))
+    closer_buf = np.empty(d2_buf.shape, dtype=bool)
+    for r0 in range(0, domain.height, rows):
+        r1 = min(r0 + rows, domain.height)
+        d2, closer = d2_buf[:r1 - r0], closer_buf[:r1 - r0]
+        best_rows, owner_rows = best[r0:r1], owner[r0:r1]
+        for i in range(len(pos)):
+            np.add(dx2[i], dy2[i, r0:r1, None], out=d2)
+            np.less(d2, best_rows, out=closer)
+            np.minimum(best_rows, d2, out=best_rows)
+            np.copyto(owner_rows, i, where=closer)
 
     n = len(pos)
     cells = tuple(np.flatnonzero(owner.ravel() == i) for i in range(n))

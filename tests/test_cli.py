@@ -187,7 +187,7 @@ def test_cli_run_command(tmp_path):
 
 
 def test_cli_rejects_bad_config(tmp_path, capsys):
-    # a bad field fails at load time, bad custom blobs when the run builds the scenario;
+    # every bad field, the scenario and its parameters included, fails at load time;
     # a string is written as the file's text
     for mapping, field in (
         ("rounds: [1, 2", "YAML"),
@@ -195,6 +195,10 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
         ({"gp": {"lengthscale0": -1.0}}, "lengthscale0"),
         ({"scenario": "custom", "scenario_params": {"blobs": [[1, 1, -2, 1]]}}, "sigma"),
         ({"scenario": "custom", "scenario_params": [[1, 1, 2, 1]]}, "mapping"),
+        ({"scenario": "bogus"}, "bogus"),
+        ({"scenario": "custom", "scenario_params": {"blobs": [[10, 10, -1, 1]]}}, "sigma"),
+        ({"scenario": "custom", "scenario_params": {"blobs": [[10, 10, 2]]}}, "blobs[0]"),
+        ({"scenario": "custom", "scenario_params": {"blobs": [[10, 10, "x", 1]]}}, "blobs[0]"),
         # small and short, so that a run which ignores the unknown key ends quickly
         ({"scenario": "custom", "scenario_params": {"blobs": [[1, 1, 2, 1]], "sigma": 3},
           "domain": {"width": 24, "height": 14}, "n_agents": 2, "rounds": 1}, "sigma"),
@@ -226,6 +230,17 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     assert main(["batch", str(config_path), "--out", str(tmp_path / "batch")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "YAML" in err
+    # a batch fails on its bad scenario before it runs any config or writes any trace
+    good = tmp_path / "good.yaml"
+    good.write_text(yaml.safe_dump({"scenario": "uniform", "domain": {"width": 24, "height": 14},
+                                    "n_agents": 2, "rounds": 1}))
+    for scenario in ({"scenario": "bogus"},
+                     {"scenario": "custom", "scenario_params": {"blobs": [[10, 10, -1, 1]]}}):
+        config_path.write_text(yaml.safe_dump(scenario))
+        out_dir = tmp_path / "batch_scenario"
+        assert main(["batch", str(good), str(config_path), "--out", str(out_dir)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out_dir.exists() or not any(out_dir.iterdir())
 
 
 def test_cli_scenario_dump(tmp_path):

@@ -111,6 +111,37 @@ def test_cost_terms_match_the_dense_formulas():
                     assert np.linalg.norm(grad - ref_grad) <= 1e-12 * np.linalg.norm(ref_grad)
 
 
+def _one_table_std(cell, pos, gp, budget):
+    """The exploration term with ``Kqq @ gw`` as one k x k table and one product."""
+    nodes, weights = _pair_nodes(cell, budget)
+    diff = nodes - pos
+    gw = (diff ** 2).sum(axis=1) * weights
+    cgw = kernel_matrix(nodes, nodes, gp.hyper) @ gw
+    if len(gp) > 0:
+        kq = kernel_matrix(nodes, gp.points, gp.hyper)
+        cgw -= kq @ (gp.whiten.T @ (gp.whiten @ (kq.T @ gw)))
+    std = float(np.sqrt(max(0.25 * float(gw @ cgw), 0.0)))
+    return std, -(diff * (weights * cgw)[:, None]).sum(axis=0) / (2.0 * std)
+
+
+def test_variance_cost_is_bit_identical_to_the_one_table_product():
+    # variance_cost forms Kqq @ gw in blocks of node rows; the pin is exact
+    # at node counts below, at and around one block, and at the default budget
+    rng = np.random.default_rng(17)
+    for width, height in ((1, 1), (63, 1), (8, 8), (13, 5), (16, 16), (40, 25)):
+        domain, cell = _whole_grid_cell(width, height, cell_size=0.5)
+        quad = QuadratureSpec(pair_budget=256)
+        assert len(_pair_nodes(cell, 256)[0]) in (1, 63, 64, 65, 256)
+        for n_rows in (0, 5, 30):
+            gp = _seeded_gp(rng, domain, n=n_rows) if n_rows else \
+                SparseGP.fit(np.zeros((0, 3)), Hyperparams(3.0, 1.0, 0.05))
+            pos = rng.uniform([0, 0], [domain.world_width, domain.world_height])
+            std, grad = variance_cost(cell, pos, gp, quad)
+            ref_std, ref_grad = _one_table_std(cell, pos, gp, quad.pair_budget)
+            assert std == ref_std
+            assert np.array_equal(grad, ref_grad)
+
+
 def test_expected_cost_zero_when_posterior_is_non_positive():
     domain, cell = _whole_grid_cell(8, 8)
     gp = SparseGP.fit(np.zeros((0, 3)), Hyperparams(2.0, 1.0, 0.1, prior_mean=-3.0))
@@ -232,6 +263,25 @@ def test_mass_centroid_weights_toward_heavy_side():
     mass, centroid = mass_centroid(cell, values)
     assert mass == pytest.approx(3.0)
     np.testing.assert_allclose(centroid, [3.5, 0.5])
+
+
+def test_mass_centroid_is_bit_identical_to_the_centers_table():
+    # per-axis moments summed in sequence give the (k, 2) table's column sums
+    rng = np.random.default_rng(23)
+    cells = []
+    for domain in (Domain(240, 135), Domain(37, 23, cell_size=0.5)):
+        pos = rng.uniform([0, 0], [domain.world_width, domain.world_height], size=(3, 2))
+        part = compute_partition(pos, domain)
+        cells += [cell_pixels(part, i, domain) for i in range(3)]
+    one_pixel = Domain(1, 1, cell_size=0.5)
+    cells.append(cell_pixels(compute_partition([[0.2, 0.3]], one_pixel), 0, one_pixel))
+    cells.append(_whole_grid_cell(97, 1, cell_size=0.5)[1])
+    for cell in cells:
+        values = rng.uniform(0.0, 3.0, size=len(cell))
+        vw = values * cell.pixel_area
+        mass, centroid = mass_centroid(cell, values)
+        assert mass == float(vw.sum())
+        assert np.array_equal(centroid, (cell.centers * vw[:, None]).sum(axis=0) / mass)
 
 
 def test_report_recomposes_exactly():

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from gpcover import (Domain, OutsideDomainError, cell_pixels, compute_partition,
                      laplacian_of)
+from gpcover.geometry import _PARTITION_BLOCK_PIXELS
 
 from oracles import brute_force_nearest, brute_force_owner
 
@@ -57,6 +58,54 @@ def test_matches_brute_force_oracle_on_seeded_configs():
         np.testing.assert_array_equal(part.owner, owner)
         # the kept running minimum is the exact nearest squared distance, ties included
         np.testing.assert_array_equal(part.dist2, dist2)
+
+
+def _oracle_neighbors(owner, n):
+    """4-adjacency between different owners, one pixel pair at a time."""
+    adj = [set() for _ in range(n)]
+    height, width = owner.shape
+    for iy in range(height):
+        for ix in range(width):
+            for jy, jx in ((iy, ix + 1), (iy + 1, ix)):
+                if jy < height and jx < width and owner[iy, ix] != owner[jy, jx]:
+                    adj[owner[iy, ix]].add(int(owner[jy, jx]))
+                    adj[owner[jy, jx]].add(int(owner[iy, ix]))
+    return tuple(tuple(sorted(s)) for s in adj)
+
+
+def test_matches_brute_force_oracle_across_row_blocks():
+    # wide enough that the sweep takes three row blocks, the last one partial
+    rows = 8
+    domain = Domain(_PARTITION_BLOCK_PIXELS // rows, 2 * rows + 3)
+    assert _PARTITION_BLOCK_PIXELS // domain.width == rows
+    w, b = domain.world_width, float(rows)  # b: the world y of the first block boundary
+    rng = np.random.default_rng(7)
+    # agents 0 and 1 meet at one pixel edge, across the block boundary, between
+    # agents 2 and 3, which hold the columns on either side
+    boundary_pair = [[100.5, b - 0.5], [100.5, b + 0.5], [99.0, b], [102.0, b]]
+    configs = [
+        rng.uniform([0, 0], [w, domain.world_height], size=(5, 2)),
+        # grid-aligned near the boundaries: many exact ties
+        rng.integers(0, [81, 2 * domain.height + 1], size=(6, 2)) * 0.5 + [w / 2 - 20, 0],
+        # a bisector on the pixel centres of the last row of the first block
+        [[w / 2, b - 3.5], [w / 2, b + 2.5], [w / 2 + 0.5, 1.0]],
+        # coincident agents
+        [[w / 3, b], [w / 3, b], [2 * w / 3, 3.0], [w / 3, b]],
+        boundary_pair,
+    ]
+    for pos in configs:
+        part = compute_partition(pos, domain)
+        owner, dist2 = brute_force_nearest(pos, domain)
+        np.testing.assert_array_equal(part.owner, owner)
+        np.testing.assert_array_equal(part.dist2, dist2)
+        for i in range(len(pos)):
+            np.testing.assert_array_equal(part.cells[i], np.flatnonzero(owner.ravel() == i))
+        assert part.neighbors == _oracle_neighbors(owner, len(pos))
+    shared = [((iy, ix), (jy, jx)) for iy in range(domain.height) for ix in range(domain.width)
+              for jy, jx in ((iy, ix + 1), (iy + 1, ix))
+              if jy < domain.height and jx < domain.width
+              and {owner[iy, ix], owner[jy, jx]} == {0, 1}]
+    assert shared == [((rows - 1, 100), (rows, 100))] and 1 in part.neighbors[0]
 
 
 def test_cells_are_sorted_flat_indices_partitioning_the_grid():

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from gpcover import (AccessAudit, AgentState, ConfigurationError, Decentralizati
                      Domain, Hyperparams, OptimizerState, SimConfig,
                      SparseGP, bilinear, build_scenario, compute_partition,
                      initial_positions, run, run_lloyd_baseline, sample_density)
+from gpcover.density import DensityField
 
 TINY = SimConfig(width=24, height=14, scenario="four_gaussians", n_agents=3, seed=5,
                  rounds=8, T=3, M=12, beta=1.0, eta=0.8, eta_adam=0.3, v_max=1.5,
@@ -323,9 +325,27 @@ def test_config_validation_rejects_bad_values():
                       dict(initial_inducing=(((1.0, 2.0),),) * 4),
                       dict(initial_inducing=((("1", 2.0, 3.0),),) * 4),
                       dict(initial_inducing=(((1.0, 2.0, 3.0), (4.0,)),) * 4),
-                      dict(initial_inducing=5)):
+                      dict(initial_inducing=5), dict(scenario="bogus"), dict(scenario=None),
+                      dict(scenario_params={"background": 1.0}),
+                      dict(scenario_params=[[1, 1, 2, 1]], scenario="custom"),
+                      dict(scenario_params={"blobs": [[1, 1, 2, 1]], "sigma": 3},
+                           scenario="custom"),
+                      dict(scenario_params={"blobs": [[10, 10, 2]]}, scenario="custom"),
+                      dict(scenario_params={"blobs": [[10, 10, "2", 1]]}, scenario="custom"),
+                      dict(scenario_params={"blobs": [[10, 10, 2, None]]}, scenario="custom"),
+                      dict(scenario_params={"blobs": [[10, 10, -1, 1]]}, scenario="custom"),
+                      dict(scenario_params={"blobs": [[10, 10, 0, 1]]}, scenario="custom"),
+                      dict(scenario_params={"blobs": [[10, 10, 2, -1]]}, scenario="custom"),
+                      dict(scenario_params={"blobs": 5}, scenario="custom"),
+                      dict(scenario_params={"background": -0.5}, scenario="custom"),
+                      dict(scenario_params={"background": float("nan")}, scenario="custom")):
         with pytest.raises(ConfigurationError, match=next(iter(overrides))):
             SimConfig(**overrides).validate()
+    # custom parameters are checked without rasterizing the density
+    with patch.object(DensityField, "from_mixture", side_effect=AssertionError("rasterized")):
+        SimConfig(scenario="custom",
+                  scenario_params={"blobs": [[1, 2, 3, 4]], "background": 0.5}).validate()
+        SimConfig(scenario="custom").validate()
     # explicit positions outside the workspace fail up front, named and in plain floats
     with pytest.raises(ConfigurationError,
                        match=r"explicit_positions\[1\] at \(200\.0, 5\.0\) is outside"):
