@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, fields, replace
 
@@ -112,6 +113,9 @@ class SimConfig:
     def validate(self) -> None:
         """Raise ``ConfigurationError`` on any mistyped or out-of-range field.
 
+        Every float field must be finite: an infinite or NaN value would
+        otherwise pass the range checks below and fail mid-run.
+
         ``scenario`` and ``scenario_params`` go through
         :func:`gpcover.density.check_scenario`, the checks that
         ``build_scenario`` makes, without rasterizing the density.
@@ -122,8 +126,16 @@ class SimConfig:
                 raise ConfigurationError(f"{name} must be an integer, got {value!r}")
         for name in _FLOAT_FIELDS + _OPTIONAL_FLOAT_FIELDS:
             value = getattr(self, name)
-            if not (_is_real(value) or (value is None and name in _OPTIONAL_FLOAT_FIELDS)):
+            if value is None and name in _OPTIONAL_FLOAT_FIELDS:
+                continue
+            if not _is_real(value):
                 raise ConfigurationError(f"{name} must be a number, got {value!r}")
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:  # an integer beyond the float range
+                finite = False
+            if not finite:
+                raise ConfigurationError(f"{name} must be finite, got {value!r}")
         if not isinstance(self.log_space_consensus, (bool, np.bool_)):
             raise ConfigurationError(
                 f"log_space_consensus must be true or false, got {self.log_space_consensus!r}")

@@ -74,7 +74,10 @@ def _weighted_pixels(cell: CellPixels, idx) -> tuple[np.ndarray, np.ndarray, flo
     """Grid columns and rows of the cell's pixels at ``idx``, with the equal
     share of the cell area that each one carries."""
     k = len(cell)
-    iy, ix = np.divmod(cell.index[idx], cell.domain.width)
+    index = cell.index[idx]
+    # floor division by a scalar is several times faster than np.divmod
+    iy = index // cell.domain.width
+    ix = index - iy * cell.domain.width
     weight = cell.pixel_area if len(ix) == k else k * cell.pixel_area / len(ix)
     return ix, iy, weight
 
@@ -103,11 +106,16 @@ def expected_cost(cell: CellPixels, agent_pos, gp: SparseGP,
         return 0.0, np.zeros(2)
     ix, iy, weight = _weighted_pixels(cell, slice(None, None, quad.single_stride))
     xs, ys = cell.domain.axis_centers()
-    mw = np.maximum(grid_posterior_mean(gp, xs, ys, ix, iy), 0.0)
+    mw = grid_posterior_mean(gp, xs, ys, ix, iy)
+    np.maximum(mw, 0.0, out=mw)
     mw *= weight
-    dx = xs[ix] - px
-    dy = ys[iy] - py
-    return 0.5 * float((dx * dx + dy * dy) @ mw), -np.array([dx @ mw, dy @ mw])
+    dx = xs.take(ix)
+    dx -= px
+    dy = ys.take(iy)
+    dy -= py
+    d2 = dx * dx
+    d2 += dy * dy
+    return 0.5 * float(d2 @ mw), -np.array([dx @ mw, dy @ mw])
 
 
 def variance_cost(cell: CellPixels, agent_pos, gp: SparseGP,

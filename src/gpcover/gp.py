@@ -13,7 +13,10 @@ Queries on a pixel grid go through :func:`grid_posterior_mean`: the SE kernel
 factors per axis there, so the mean over a bounding box of pixels is a product
 of per-axis factors (exact Kronecker structure, no interpolation), taken in row
 blocks small enough that BLAS runs each on one thread and the result does not
-depend on the thread count. :func:`posterior_mean` and :func:`posterior` serve
+depend on the thread count. :func:`lattice_posterior_mean` serves a whole
+lattice of points, such as the rmse metric's strided grid: it adds per-axis
+squared distances into one table and gives the bits of :func:`posterior_mean`
+on the lattice's points. :func:`posterior_mean` and :func:`posterior` serve
 arbitrary query points.
 """
 
@@ -151,7 +154,13 @@ class SparseGP:
         return np.column_stack([self.points, self.values])
 
     def with_hyper(self, hyper: Hyperparams) -> "SparseGP":
-        """Recondition the same inducing rows under new hyperparameters."""
+        """Recondition the same inducing rows under new hyperparameters.
+
+        A fit depends only on its rows and its hyperparameters, so under
+        hyperparameters equal to its own the model is returned as it is.
+        """
+        if hyper == self.hyper:
+            return self
         return SparseGP.fit(self.inducing, hyper)
 
 
@@ -173,6 +182,33 @@ def posterior_mean(gp: SparseGP, query) -> np.ndarray:
         return np.full(len(q), gp.hyper.prior_mean)
     kq = kernel_matrix(q, gp.points, gp.hyper)
     return gp.hyper.prior_mean + kq @ gp.weights
+
+
+def lattice_posterior_mean(gp: SparseGP, xs, ys) -> np.ndarray:
+    """Posterior mean on the lattice ``xs x ys``, flattened row-major ``(len(ys) * len(xs),)``.
+
+    Point ``j * len(xs) + i`` is ``(xs[i], ys[j])``, the order of
+    ``np.meshgrid(xs, ys)`` raveled. The squared distances are taken per axis
+    and broadcast-added into one ``(len(ys), len(xs), M)`` table; IEEE addition
+    is commutative, so the table and the GEMV with the weights are those that
+    :func:`posterior_mean` forms on the lattice's points, bit for bit, with
+    neither the point table nor a second distance table.
+    """
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    hyper = gp.hyper
+    m = len(gp.points)
+    if m == 0:
+        return np.full(len(xs) * len(ys), hyper.prior_mean)
+    dx2 = _squared_distances(xs[:, None], gp.points[:, :1])
+    dy2 = _squared_distances(ys[:, None], gp.points[:, 1:])
+    table = np.add(dy2[:, None, :], dx2[None, :, :])
+    table /= -2.0 * hyper.lengthscale ** 2
+    np.exp(table, out=table)
+    table *= hyper.signal_variance
+    mean = table.reshape(-1, m) @ gp.weights
+    mean += hyper.prior_mean
+    return mean
 
 
 def _axis_factor(centers: np.ndarray, coords: np.ndarray, lengthscale: float) -> np.ndarray:
@@ -208,7 +244,14 @@ def grid_posterior_mean(gp: SparseGP, xs: np.ndarray, ys: np.ndarray, ix, iy) ->
     rows = max(1, _SERIAL_GEMM_MACS // (len(ex) * len(a)))
     for r in range(0, len(ey), rows):
         np.matmul(ey[r:r + rows], ex.T, out=box[r:r + rows])
-    return hyper.prior_mean + box[iy - y0, ix - x0]
+    # one flat gather from the box, its row-major index built in place
+    flat = iy - y0
+    flat *= len(ex)
+    flat += ix
+    flat -= x0
+    mean = box.take(flat)
+    mean += hyper.prior_mean
+    return mean
 
 
 def smw_extend(inverse: np.ndarray, points, new_point, hyper: Hyperparams) -> np.ndarray:

@@ -5,7 +5,9 @@ samples the hidden density at its own position, periodically rebuilds its
 sparse GP from its buffer plus its neighbors' inducing sets, and moves one
 step down its spatially-informed cost. The engine runs each phase under an
 explicit audit context; any read of agent-owned state that the active phase
-does not sanction is recorded and fails the run.
+does not sanction is recorded and fails the run. The trace's ``rmse`` scores
+each agent's posterior mean on every ``rmse_stride``-th pixel centre along each
+axis, through :func:`gpcover.gp.lattice_posterior_mean`.
 """
 
 from __future__ import annotations
@@ -22,8 +24,10 @@ from .cost import QuadratureSpec, cell_cost_report, mass_centroid, true_location
 from .density import DensityField, bilinear, build_scenario
 from .errors import DecentralizationError
 from .geometry import Domain, cell_pixels, compute_partition
-from .gp import Hyperparams, SparseGP, greedy_select, merge_inducing, posterior_mean, \
+from .gp import Hyperparams, SparseGP, greedy_select, lattice_posterior_mean, merge_inducing, \
     refit_hyperparams
+# the dense path, kept importable here for callers that look it up by name
+from .gp import posterior_mean  # noqa: F401
 
 _TRACKED_FIELDS = frozenset({"pos", "hyper", "gp", "buffer", "opt"})
 
@@ -220,10 +224,9 @@ def _init_agents(config: SimConfig, domain: Domain, field: DensityField, noise_s
 
 
 def _metric_grid(domain: Domain, field: DensityField, stride: int):
+    """Every ``stride``-th pixel centre along each axis, and the density there row-major."""
     xs, ys = domain.axis_centers()
-    gx, gy = np.meshgrid(xs[::stride], ys[::stride])
-    pts = np.column_stack([gx.ravel(), gy.ravel()])
-    return pts, field.values[::stride, ::stride].ravel()
+    return xs[::stride], ys[::stride], field.values[::stride, ::stride].ravel()
 
 
 def _rollout(config: SimConfig, domain: Domain, field: DensityField,
@@ -277,7 +280,7 @@ def run(config: SimConfig, audit: AccessAudit | None = None, sample_probe=None) 
     ]
     quad = QuadratureSpec(config.single_stride, config.pair_budget, config.beta)
     consensus_cfg = ConsensusConfig(config.alpha, config.log_space_consensus)
-    metric_pts, metric_phi = _metric_grid(domain, field, config.rmse_stride)
+    metric_xs, metric_ys, metric_phi = _metric_grid(domain, field, config.rmse_stride)
 
     def advance(t, positions, partition):
         audit.round = t
@@ -334,7 +337,8 @@ def run(config: SimConfig, audit: AccessAudit | None = None, sample_probe=None) 
 
         current = np.array([a.pos for a in agents])
         with audit.metrics():
-            errs = [float(np.sqrt(np.mean((posterior_mean(a.gp, metric_pts) - metric_phi) ** 2)))
+            errs = [float(np.sqrt(np.mean(
+                        (lattice_posterior_mean(a.gp, metric_xs, metric_ys) - metric_phi) ** 2)))
                     for a in agents]
             counts = [len(a.gp) for a in agents]
         return current, float(np.mean(errs)), len(audit.messages) - messages_before, counts

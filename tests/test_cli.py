@@ -219,6 +219,12 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
         ({"domain": {"width": 24, "height": 14}, "n_agents": 2, "rounds": 1,
           "initial_inducing": [[[1.0, 1.0]], [[2.0, 2.0, 1.0]]]}, "initial_inducing[0]"),
         ({"n_agents": 2, "initial_inducing": [[[1.0, 1.0, 1.0]]]}, "initial_inducing"),
+        # YAML's infinities and NaN are floats that validate must reject
+        ("beta: .inf", "beta"),
+        ("gp: {prior_mean0: .nan}", "prior_mean0"),
+        ("optimizer: {eta: -.inf}", "eta"),
+        ("noise_sigma: .NaN", "noise_sigma"),
+        ("domain: {cell_size: .Inf}", "cell_size"),
     ):
         config_path = tmp_path / "bad.yaml"
         config_path.write_text(mapping if isinstance(mapping, str) else yaml.safe_dump(mapping))

@@ -5,11 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from gpcover import (Domain, Hyperparams, QuadratureSpec, SparseGP, cell_cost_report,
+from gpcover import (CellPixels, Domain, Hyperparams, QuadratureSpec, SparseGP, cell_cost_report,
                      cell_pixels, compute_partition, expected_cost, kernel_matrix,
                      mass_centroid, posterior_mean, true_locational_cost, variance_cost)
 from gpcover.density import DensityField, GaussianBlob, GaussianMixture
 from gpcover.cost import _pair_nodes, _weighted_pixels
+from gpcover.gp import _SERIAL_GEMM_MACS, _axis_factor
 
 from oracles import central_fd
 
@@ -109,6 +110,54 @@ def test_cost_terms_match_the_dense_formulas():
                     ref_std, ref_grad = _dense_std(cell, pos[i], gp, budget)
                     assert std == pytest.approx(ref_std, rel=1e-12)
                     assert np.linalg.norm(grad - ref_grad) <= 1e-12 * np.linalg.norm(ref_grad)
+
+
+def _first_grid_expected(cell, pos, gp, stride):
+    """The expected term as first written on the grid: ``divmod`` indices, one box
+    GEMM gathered by a 2-D index, and a fresh array for every step."""
+    px, py = pos
+    k = len(cell)
+    iy, ix = np.divmod(cell.index[::stride], cell.domain.width)
+    weight = cell.pixel_area if len(ix) == k else k * cell.pixel_area / len(ix)
+    xs, ys = cell.domain.axis_centers()
+    hyper = gp.hyper
+    if len(gp) == 0:
+        mean = np.full(ix.shape, hyper.prior_mean)
+    else:
+        x0, y0 = ix.min(), iy.min()
+        ex = _axis_factor(xs[x0:ix.max() + 1], gp.points[:, 0], hyper.lengthscale)
+        ey = _axis_factor(ys[y0:iy.max() + 1], gp.points[:, 1], hyper.lengthscale)
+        assert ex.size * len(ey) <= _SERIAL_GEMM_MACS  # one GEMM block at these sizes
+        box = (ey * (hyper.signal_variance * gp.weights)) @ ex.T
+        mean = hyper.prior_mean + box[iy - y0, ix - x0]
+    mw = np.maximum(mean, 0.0) * weight
+    dx = xs[ix] - px
+    dy = ys[iy] - py
+    return 0.5 * float((dx * dx + dy * dy) @ mw), -np.array([dx @ mw, dy @ mw])
+
+
+def test_expected_cost_is_bit_identical_to_the_first_grid_form():
+    rng = np.random.default_rng(43)
+    domain = Domain(40, 25, cell_size=0.5)
+    pos = rng.uniform([1, 1], [19, 12], size=(3, 2))
+    part = compute_partition(pos, domain)
+    cells = [(cell_pixels(part, i, domain), pos[i]) for i in range(3)]
+    # one pixel, one row, and a thin diagonal cell whose box spans the grid
+    cells += [(CellPixels(np.array([9 * 40 + 21]), domain), pos[0]),
+              (CellPixels(np.arange(6 * 40 + 2, 6 * 40 + 37), domain), pos[1]),
+              (CellPixels(np.array([iy * 40 + (iy * 3) // 2 for iy in range(25)]), domain),
+               pos[2])]
+    for n, prior_mean in ((0, 0.4), (0, -0.2), (15, 0.0), (15, -0.6)):
+        # values of both signs, so that the clip at zero takes part
+        rows = np.column_stack([rng.uniform([0, 0], [20, 12.5], size=(n, 2)),
+                                rng.uniform(-1.0, 2.0, size=n)])
+        gp = SparseGP.fit(rows, Hyperparams(3.0, 1.5, 0.05, prior_mean=prior_mean))
+        for cell, p in cells:
+            for stride in (1, 2, 3):
+                value, grad = expected_cost(cell, p, gp, QuadratureSpec(single_stride=stride))
+                ref_value, ref_grad = _first_grid_expected(cell, p, gp, stride)
+                assert value == ref_value
+                np.testing.assert_array_equal(grad, ref_grad)
 
 
 def _one_table_std(cell, pos, gp, budget):

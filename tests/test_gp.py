@@ -12,7 +12,7 @@ from gpcover import (CellPixels, Domain, Hyperparams, SingularityError, SparseGP
                      cell_pixels, compute_partition, greedy_select, kernel_matrix,
                      log_marginal_likelihood, merge_inducing, posterior, posterior_mean,
                      refit_hyperparams, smw_extend)
-from gpcover.gp import grid_posterior_mean
+from gpcover.gp import grid_posterior_mean, lattice_posterior_mean
 
 from oracles import dense_posterior, greedy_oracle, se_kernel_matrix
 
@@ -145,6 +145,43 @@ def test_grid_posterior_mean_matches_dense_posterior_mean():
             assert np.max(np.abs(grid - dense)) <= 1e-12 * scale
             if n == 0:
                 np.testing.assert_array_equal(grid, np.full(len(ix), hyper.prior_mean))
+
+
+def test_lattice_posterior_mean_is_bit_identical_to_the_dense_mean():
+    rng = np.random.default_rng(13)
+    # (domain, stride): 1x1, one row, one column, a stride longer than the grid,
+    # half-unit pixels, a domain taller than wide, and a plain strided grid
+    cases = ((Domain(1, 1), 1), (Domain(17, 1), 2), (Domain(1, 13), 3), (Domain(9, 6), 20),
+             (Domain(16, 12, cell_size=0.5), 3), (Domain(7, 31), 2), (Domain(48, 27), 8))
+    for domain, stride in cases:
+        xs, ys = domain.axis_centers()
+        xs, ys = xs[::stride], ys[::stride]
+        gx, gy = np.meshgrid(xs, ys)
+        query = np.column_stack([gx.ravel(), gy.ravel()])
+        span = [domain.world_width, domain.world_height]
+        for n in (0, 1, 9, 40):
+            rows = np.column_stack([rng.uniform([0, 0], span, size=(n, 2)),
+                                    rng.uniform(-1.0, 3.0, size=n)])
+            hyper = Hyperparams(rng.uniform(0.5, 8.0) * domain.cell_size, rng.uniform(0.1, 5.0),
+                                rng.uniform(1e-4, 0.2), prior_mean=rng.uniform(-1.0, 1.0))
+            gp = SparseGP.fit(rows, hyper)
+            lattice = lattice_posterior_mean(gp, xs, ys)
+            assert lattice.shape == (len(query),)
+            np.testing.assert_array_equal(lattice, posterior_mean(gp, query))
+
+
+def test_with_hyper_skips_only_the_refits_that_cannot_change_the_model():
+    rng = np.random.default_rng(14)
+    rows = _random_inducing(rng, 12)
+    for gp in (SparseGP.fit(rows, HYPER), SparseGP.fit(np.zeros((0, 3)), HYPER)):
+        # equal hyperparameters, even in a distinct object, give back the same model
+        assert gp.with_hyper(Hyperparams(**vars(HYPER))) is gp
+        for changed in (Hyperparams(1.6, 2.0, 0.1), Hyperparams(1.5, 2.0, 0.1, prior_mean=0.3)):
+            fresh = gp.with_hyper(changed)
+            ref = SparseGP.fit(gp.inducing, changed)
+            assert fresh is not gp and fresh.hyper == changed
+            for name in ("points", "values", "whiten", "weights"):
+                np.testing.assert_array_equal(getattr(fresh, name), getattr(ref, name))
 
 
 def test_nonzero_prior_mean_shifts_far_field():

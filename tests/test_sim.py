@@ -14,7 +14,8 @@ import pytest
 from gpcover import (AccessAudit, AgentState, ConfigurationError, DecentralizationError,
                      Domain, Hyperparams, OptimizerState, SimConfig,
                      SparseGP, bilinear, build_scenario, compute_partition,
-                     initial_positions, run, run_lloyd_baseline, sample_density)
+                     initial_positions, posterior_mean, run, run_lloyd_baseline,
+                     sample_density)
 from gpcover.density import DensityField
 
 TINY = SimConfig(width=24, height=14, scenario="four_gaussians", n_agents=3, seed=5,
@@ -89,6 +90,26 @@ def test_buffer_lifecycle_follows_the_refresh_period():
     for t, sizes in enumerate(observed):
         assert sizes == [expected[t]] * TINY.n_agents
     assert all(hyper_consistent)
+
+
+def test_rmse_is_the_dense_rmse_of_the_agents_models():
+    config = TINY.with_overrides(width=48, height=27, seed=1, rounds=20, rmse_stride=5,
+                                 refit_steps=2)
+    domain = config.domain()
+    field = build_scenario(config.scenario, domain, config.scenario_params)
+    xs, ys = domain.axis_centers()
+    gx, gy = np.meshgrid(xs[::5], ys[::5])
+    query = np.column_stack([gx.ravel(), gy.ravel()])
+    phi = field.values[::5, ::5].ravel()
+    models: list[list[SparseGP]] = []
+    trace = run(config, sample_probe=lambda t, agents: models.append([a.gp for a in agents]))
+    # between refreshes the models the probe sees are those the metric reads
+    pinned = [t for t in range(config.rounds) if t % config.T != 0]
+    assert len(pinned) == 13
+    for t in pinned:
+        errs = [float(np.sqrt(np.mean((posterior_mean(gp, query) - phi) ** 2)))
+                for gp in models[t]]
+        assert trace.rmse[t] == float(np.mean(errs))
 
 
 def test_trace_shapes_and_bounds():
@@ -338,7 +359,16 @@ def test_config_validation_rejects_bad_values():
                       dict(scenario_params={"blobs": [[10, 10, 2, -1]]}, scenario="custom"),
                       dict(scenario_params={"blobs": 5}, scenario="custom"),
                       dict(scenario_params={"background": -0.5}, scenario="custom"),
-                      dict(scenario_params={"background": float("nan")}, scenario="custom")):
+                      dict(scenario_params={"background": float("nan")}, scenario="custom"),
+                      # every float field must be finite, v_max too
+                      dict(prior_mean0=float("nan")), dict(prior_mean0=float("inf")),
+                      dict(beta=float("inf")), dict(noise_sigma=float("inf")),
+                      dict(noise_variance0=float("inf")), dict(eta=float("inf")),
+                      dict(hyper_spread=float("inf")), dict(cell_size=float("inf")),
+                      dict(lengthscale0=float("inf")), dict(signal_variance0=float("inf")),
+                      dict(v_max=float("inf")), dict(alpha=float("nan")),
+                      dict(eta_adam=float("-inf")), dict(epsilon=np.float64("nan")),
+                      dict(lloyd_gamma=float("nan")), dict(beta=10 ** 400)):
         with pytest.raises(ConfigurationError, match=next(iter(overrides))):
             SimConfig(**overrides).validate()
     # custom parameters are checked without rasterizing the density
