@@ -3,6 +3,14 @@
 Scenario layouts are defined on a 960x540 canonical workspace; building one
 on a smaller or larger domain rescales blob centers with the domain and blob
 widths with the horizontal scale factor.
+
+The raster builds each blob's exponent from per-axis squared offsets,
+``(y - cy)^2`` broadcast-added to ``(x - cx)^2`` in one reused ``(H, W)``
+buffer, and calls ``np.exp`` only where that exponent is at least
+``_EXP_CUT = -746``. Below about -745.13 ``exp`` returns exactly 0.0, so a
+skipped term would only have added +0.0; numpy computes those zeros on a
+slow path. :meth:`GaussianMixture.value_at` evaluates points with the same
+formula, so the raster equals ``value_at`` at the pixel centres bit for bit.
 """
 
 from __future__ import annotations
@@ -19,10 +27,18 @@ from .geometry import Domain
 CANONICAL_WIDTH = 960.0
 CANONICAL_HEIGHT = 540.0
 
+# np.exp is exactly 0.0 below about -745.13 and slow there; blob terms whose
+# exponent lies below this cut are skipped, as they would add +0.0
+_EXP_CUT = -746.0
+
 
 @dataclass(frozen=True)
 class GaussianBlob:
-    """Isotropic Gaussian bump ``amplitude * exp(-||q - center||^2 / (2 sigma^2))``."""
+    """Isotropic Gaussian bump ``amplitude * exp(-||q - center||^2 / (2 sigma^2))``.
+
+    ``sigma`` must be positive with ``2 sigma^2`` a positive finite float, and
+    ``amplitude`` a non-negative finite number.
+    """
 
     center: tuple[float, float]
     sigma: float
@@ -31,6 +47,14 @@ class GaussianBlob:
     def __post_init__(self):
         if not self.sigma > 0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
+        try:
+            two_var = 2.0 * self.sigma ** 2
+        except OverflowError:
+            two_var = float("inf")
+        if not 0.0 < two_var < float("inf"):
+            raise ValueError(f"sigma {self.sigma} is out of range: 2*sigma**2 is {two_var}")
+        if not (isfinite(self.amplitude) and self.amplitude >= 0):
+            raise ValueError(f"amplitude must be non-negative, got {self.amplitude}")
 
 
 @dataclass(frozen=True)
@@ -43,10 +67,32 @@ class GaussianMixture:
     def value_at(self, points) -> np.ndarray:
         """Evaluate the mixture at ``(k, 2)`` points."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.full(len(pts), float(self.background))
+        return self._evaluate(pts[:, 0], pts[:, 1], (len(pts),))
+
+    def _evaluate(self, xs, ys, shape) -> np.ndarray:
+        """The mixture where coordinates ``xs`` and ``ys`` broadcast to ``shape``.
+
+        Each blob adds ``amplitude * exp(d2 / -(2 sigma^2))`` with
+        ``d2 = (y - cy)^2 + (x - cx)^2``, skipping exponents below
+        ``_EXP_CUT``. A skipped term is +0.0, which leaves every value but a
+        -0.0 background as it is; that one becomes +0.0 once any blob is added.
+        """
+        background = float(self.background)
+        if self.blobs:
+            background += 0.0
+        out = np.full(shape, background)
+        arg = np.empty(shape)
+        keep = np.empty(shape, dtype=bool)
         for blob in self.blobs:
-            d2 = ((pts - np.asarray(blob.center)) ** 2).sum(axis=1)
-            out += blob.amplitude * np.exp(-d2 / (2.0 * blob.sigma ** 2))
+            cx, cy = blob.center
+            np.add((ys - cy) ** 2, (xs - cx) ** 2, out=arg)
+            np.divide(arg, -(2.0 * blob.sigma ** 2), out=arg)
+            # not below the cut; NaN goes to exp, which keeps it
+            np.less(arg, _EXP_CUT, out=keep)
+            np.logical_not(keep, out=keep)
+            np.exp(arg, out=arg, where=keep)
+            np.multiply(arg, blob.amplitude, out=arg, where=keep)
+            np.add(out, arg, out=out, where=keep)
         return out
 
 
@@ -63,7 +109,11 @@ class DensityField:
             raise ValueError(
                 f"values shape {self.values.shape} does not match domain "
                 f"{self.domain.height}x{self.domain.width}")
-        if np.any(self.values < 0):
+        # min and max propagate NaN
+        lo, hi = float(self.values.min()), float(self.values.max())
+        if not (isfinite(lo) and isfinite(hi)):
+            raise ValueError("density values must be finite")
+        if lo < 0:
             raise ValueError("density values must be non-negative")
 
     @property
@@ -73,9 +123,7 @@ class DensityField:
     @classmethod
     def from_mixture(cls, domain: Domain, mixture: GaussianMixture) -> "DensityField":
         xs, ys = domain.axis_centers()
-        gx, gy = np.meshgrid(xs, ys)
-        pts = np.column_stack([gx.ravel(), gy.ravel()])
-        values = mixture.value_at(pts).reshape(domain.height, domain.width)
+        values = mixture._evaluate(xs, ys[:, None], (domain.height, domain.width))
         return cls(domain, values, mixture)
 
     @classmethod
@@ -179,13 +227,10 @@ def _custom_mixture(params) -> GaussianMixture:
             raise ConfigurationError(f"scenario_params blobs[{i}] must be four finite numbers "
                                      f"[cx, cy, sigma, amplitude], got {row!r}")
         cx, cy, sigma, amplitude = map(float, row)
-        if not sigma > 0:
-            raise ConfigurationError(
-                f"scenario_params blobs[{i}] sigma must be positive, got {sigma}")
-        if amplitude < 0:
-            raise ConfigurationError(
-                f"scenario_params blobs[{i}] amplitude must be non-negative, got {amplitude}")
-        blobs.append(GaussianBlob((cx, cy), sigma, amplitude))
+        try:
+            blobs.append(GaussianBlob((cx, cy), sigma, amplitude))
+        except ValueError as exc:
+            raise ConfigurationError(f"scenario_params blobs[{i}] {exc}") from None
     background = params.get("background", 0.0)
     if not (_finite_number(background) and background >= 0):
         raise ConfigurationError(
@@ -199,8 +244,9 @@ def check_scenario(name, params=None) -> GaussianMixture | None:
     Returns the ``custom`` scenario's mixture and ``None`` for a named
     scenario; raises ``ConfigurationError`` on an unknown name, on parameters
     given to a named scenario, and on bad custom parameters. Custom
-    amplitudes and background must be non-negative, so every mixture that
-    passes rasterizes to a valid density.
+    amplitudes and background must be non-negative and each ``2 * sigma**2``
+    a positive finite float, so every mixture that passes rasterizes to a
+    valid density.
     """
     if name == "custom":
         return _custom_mixture(params)

@@ -179,13 +179,19 @@ def compute_partition(positions, domain: Domain) -> VoronoiPartition:
 
 
 def _adjacent_pairs(owner: np.ndarray, n: int) -> tuple[tuple[int, ...], ...]:
-    # horizontal and vertical pixel-edge crossings between different owners
+    # horizontal and vertical pixel-edge crossings between different owners,
+    # one scan of each direction's mask, as the flat index of the left or upper pixel
+    width = owner.shape[1]
+    flat = owner.ravel()
+    left = np.flatnonzero(owner[:, :-1] != owner[:, 1:])
+    left += left // max(width - 1, 1)  # a mask row holds width - 1 edges
+    up = np.flatnonzero(owner[:-1, :] != owner[1:, :])
     pairs = []
-    for a, b in ((owner[:, :-1], owner[:, 1:]), (owner[:-1, :], owner[1:, :])):
-        mask = a != b
-        if mask.any():
-            lo = np.minimum(a[mask], b[mask])
-            hi = np.maximum(a[mask], b[mask])
+    for first, step in ((left, 1), (up, width)):
+        if len(first):
+            a, b = flat.take(first), flat.take(first + step)
+            lo = np.minimum(a, b)
+            hi = np.maximum(a, b)
             pairs.append(lo.astype(np.int64) * n + hi.astype(np.int64))
     adj: list[set[int]] = [set() for _ in range(n)]
     if pairs:

@@ -7,7 +7,8 @@ step down its spatially-informed cost. The engine runs each phase under an
 explicit audit context; any read of agent-owned state that the active phase
 does not sanction is recorded and fails the run. The trace's ``rmse`` scores
 each agent's posterior mean on every ``rmse_stride``-th pixel centre along each
-axis, through :func:`gpcover.gp.lattice_posterior_mean`.
+axis, through :func:`gpcover.gp.lattice_posterior_mean`, once per model: an
+agent that still holds the model object it held last round keeps its score.
 """
 
 from __future__ import annotations
@@ -281,6 +282,15 @@ def run(config: SimConfig, audit: AccessAudit | None = None, sample_probe=None) 
     quad = QuadratureSpec(config.single_stride, config.pair_budget, config.beta)
     consensus_cfg = ConsensusConfig(config.alpha, config.log_space_consensus)
     metric_xs, metric_ys, metric_phi = _metric_grid(domain, field, config.rmse_stride)
+    # each agent's last scored model and its rmse; models are immutable, so an
+    # agent whose model object is unchanged keeps its score
+    scored: list[tuple[SparseGP | None, float]] = [(None, 0.0)] * config.n_agents
+
+    def agent_rmse(i: int, gp: SparseGP) -> float:
+        if scored[i][0] is not gp:
+            err = lattice_posterior_mean(gp, metric_xs, metric_ys) - metric_phi
+            scored[i] = (gp, float(np.sqrt(np.mean(err ** 2))))
+        return scored[i][1]
 
     def advance(t, positions, partition):
         audit.round = t
@@ -337,9 +347,7 @@ def run(config: SimConfig, audit: AccessAudit | None = None, sample_probe=None) 
 
         current = np.array([a.pos for a in agents])
         with audit.metrics():
-            errs = [float(np.sqrt(np.mean(
-                        (lattice_posterior_mean(a.gp, metric_xs, metric_ys) - metric_phi) ** 2)))
-                    for a in agents]
+            errs = [agent_rmse(i, a.gp) for i, a in enumerate(agents)]
             counts = [len(a.gp) for a in agents]
         return current, float(np.mean(errs)), len(audit.messages) - messages_before, counts
 

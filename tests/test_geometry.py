@@ -208,3 +208,14 @@ def test_partition_invariants_on_random_inputs(points, _seed):
     for i, nbrs in enumerate(part.neighbors):
         for j in nbrs:
             assert i in part.neighbors[j]
+
+
+@pytest.mark.parametrize("width,height", [(1, 9), (9, 1), (1, 1), (2, 2), (17, 5), (5, 17)])
+def test_neighbors_match_the_pixel_pair_oracle_on_thin_grids(width, height):
+    # one-pixel rows and columns have no edges in one direction
+    domain = Domain(width, height)
+    rng = np.random.default_rng(width * 31 + height)
+    for n in (1, 2, 3, 6):
+        pos = rng.uniform([0, 0], [domain.world_width, domain.world_height], size=(n, 2))
+        part = compute_partition(pos, domain)
+        assert part.neighbors == _oracle_neighbors(part.owner, n)

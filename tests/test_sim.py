@@ -11,6 +11,7 @@ from unittest.mock import patch
 import numpy as np
 import pytest
 
+import gpcover.sim as sim
 from gpcover import (AccessAudit, AgentState, ConfigurationError, DecentralizationError,
                      Domain, Hyperparams, OptimizerState, SimConfig,
                      SparseGP, bilinear, build_scenario, compute_partition,
@@ -109,6 +110,40 @@ def test_rmse_is_the_dense_rmse_of_the_agents_models():
     for t in pinned:
         errs = [float(np.sqrt(np.mean((posterior_mean(gp, query) - phi) ** 2)))
                 for gp in models[t]]
+        assert trace.rmse[t] == float(np.mean(errs))
+
+
+def test_rmse_scores_each_model_of_an_agent_once():
+    # identical starting hyperparameters stay fixed under consensus, so models
+    # carry over between refreshes
+    config = TINY.with_overrides(hyper_spread=0.0, rounds=10)
+    domain = config.domain()
+    field = build_scenario(config.scenario, domain, config.scenario_params)
+    xs, ys = domain.axis_centers()
+    phi = field.values[::4, ::4].ravel()
+    audit, agents, held, scored = AccessAudit(), [], [], []
+    real_mean, real_cost = sim.lattice_posterior_mean, sim.true_locational_cost
+
+    def spy_mean(gp, *args):
+        scored.append(next(i for i, a in enumerate(agents) if a.gp is gp))
+        return real_mean(gp, *args)
+
+    def models_after_round(*args):
+        # called once a round, after the rmse; the models it sees are those scored
+        with audit.metrics():
+            held.append([a.gp for a in agents])
+        return real_cost(*args)
+
+    with patch.object(sim, "lattice_posterior_mean", spy_mean), \
+            patch.object(sim, "true_locational_cost", models_after_round):
+        trace = run(config, audit, sample_probe=lambda t, a: agents[:] or agents.extend(a))
+    changed = [i for t, models in enumerate(held) for i, gp in enumerate(models)
+               if t == 0 or gp is not held[t - 1][i]]
+    assert scored == changed
+    assert 0 < len(scored) < config.rounds * config.n_agents
+    for t, models in enumerate(held):
+        errs = [float(np.sqrt(np.mean((real_mean(gp, xs[::4], ys[::4]) - phi) ** 2)))
+                for gp in models]
         assert trace.rmse[t] == float(np.mean(errs))
 
 
