@@ -8,7 +8,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .density import check_scenario
+from .density import scenario_mixture
 from .errors import ConfigurationError
 from .geometry import Domain
 
@@ -117,8 +117,9 @@ class SimConfig:
         otherwise pass the range checks below and fail mid-run.
 
         ``scenario`` and ``scenario_params`` go through
-        :func:`gpcover.density.check_scenario`, the checks that
-        ``build_scenario`` makes, without rasterizing the density.
+        :func:`gpcover.density.scenario_mixture`, which builds the density's
+        mixture on the domain with the checks that ``build_scenario`` makes,
+        without rasterizing it.
         """
         for name in _INT_FIELDS:
             value = getattr(self, name)
@@ -190,7 +191,7 @@ class SimConfig:
                                              f"outside the workspace")
         if self.initial_inducing is not None:
             _check_inducing_blocks(self.initial_inducing, self.n_agents)
-        check_scenario(self.scenario, self.scenario_params)
+        scenario_mixture(self.scenario, domain, self.scenario_params)
 
     def with_overrides(self, **kwargs) -> "SimConfig":
         cfg = replace(self, **kwargs)

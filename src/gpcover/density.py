@@ -166,36 +166,36 @@ def _scales(domain: Domain) -> tuple[float, float, float]:
     return sx, sy, sx
 
 
-def four_gaussians(domain: Domain) -> DensityField:
+def four_gaussians(domain: Domain) -> GaussianMixture:
     """Four equal unit-amplitude bumps near the workspace corners."""
     sx, sy, ss = _scales(domain)
     centers = [(100.0, 100.0), (850.0, 450.0), (100.0, 450.0), (850.0, 100.0)]
     blobs = tuple(GaussianBlob((cx * sx, cy * sy), 10.0 * ss, 1.0) for cx, cy in centers)
-    return DensityField.from_mixture(domain, GaussianMixture(blobs))
+    return GaussianMixture(blobs)
 
 
-def hotspots(domain: Domain) -> DensityField:
+def hotspots(domain: Domain) -> GaussianMixture:
     """Three unequal-width bumps of amplitude 150 over a background of 20."""
     w, h = domain.world_width, domain.world_height
     _, _, ss = _scales(domain)
     layout = [((0.2 * w, 0.3 * h), 80.0), ((0.8 * w, 0.7 * h), 120.0), ((0.6 * w, 0.2 * h), 60.0)]
     blobs = tuple(GaussianBlob(center, sigma * ss, 150.0) for center, sigma in layout)
-    return DensityField.from_mixture(domain, GaussianMixture(blobs, background=20.0))
+    return GaussianMixture(blobs, background=20.0)
 
 
-def single_peak(domain: Domain) -> DensityField:
+def single_peak(domain: Domain) -> GaussianMixture:
     """One central bump of amplitude 150."""
     _, _, ss = _scales(domain)
     center = (domain.world_width / 2.0, domain.world_height / 2.0)
-    mixture = GaussianMixture((GaussianBlob(center, 80.0 * ss, 150.0),))
-    return DensityField.from_mixture(domain, mixture)
+    return GaussianMixture((GaussianBlob(center, 80.0 * ss, 150.0),))
 
 
-def uniform(domain: Domain) -> DensityField:
+def uniform(domain: Domain) -> GaussianMixture:
     """Constant density of 1 everywhere."""
-    return DensityField.constant(domain, 1.0)
+    return GaussianMixture(blobs=(), background=1.0)
 
 
+# each named scenario's mixture on a domain; build_scenario rasterizes it
 _SCENARIOS = {
     "four_gaussians": four_gaussians,
     "hotspots": hotspots,
@@ -238,15 +238,14 @@ def _custom_mixture(params) -> GaussianMixture:
     return GaussianMixture(tuple(blobs), float(background))
 
 
-def check_scenario(name, params=None) -> GaussianMixture | None:
-    """Check a scenario name and its parameters without rasterizing anything.
+def scenario_mixture(name, domain: Domain, params=None) -> GaussianMixture:
+    """The mixture of a scenario on ``domain``, checked but not rasterized.
 
-    Returns the ``custom`` scenario's mixture and ``None`` for a named
-    scenario; raises ``ConfigurationError`` on an unknown name, on parameters
-    given to a named scenario, and on bad custom parameters. Custom
-    amplitudes and background must be non-negative and each ``2 * sigma**2``
-    a positive finite float, so every mixture that passes rasterizes to a
-    valid density.
+    Raises ``ConfigurationError`` on an unknown name, on parameters given to
+    a named scenario, on bad custom parameters, and on a named scenario whose
+    blob widths, scaled to the domain, leave the float range. Amplitudes and
+    background must be non-negative and each ``2 * sigma**2`` a positive
+    finite float, so every mixture returned rasterizes to a valid density.
     """
     if name == "custom":
         return _custom_mixture(params)
@@ -255,7 +254,12 @@ def check_scenario(name, params=None) -> GaussianMixture | None:
         raise ConfigurationError(f"unknown scenario {name!r}; expected one of: {known}")
     if params:
         raise ConfigurationError(f"scenario {name!r} takes no scenario_params")
-    return None
+    try:
+        return _SCENARIOS[name](domain)
+    except ValueError as exc:
+        raise ConfigurationError(
+            f"scenario {name!r} does not fit a {domain.width}x{domain.height} domain at "
+            f"cell_size {domain.cell_size}: {exc}") from None
 
 
 def build_scenario(name: str, domain: Domain, params: dict | None = None) -> DensityField:
@@ -264,9 +268,6 @@ def build_scenario(name: str, domain: Domain, params: dict | None = None) -> Den
     ``custom`` takes ``params`` with ``blobs`` (rows of
     ``[cx, cy, sigma, amplitude]`` in world coordinates) and an optional
     ``background``. The named scenarios take no parameters. The checks are
-    those of :func:`check_scenario`.
+    those of :func:`scenario_mixture`.
     """
-    mixture = check_scenario(name, params)
-    if mixture is None:
-        return _SCENARIOS[name](domain)
-    return DensityField.from_mixture(domain, mixture)
+    return DensityField.from_mixture(domain, scenario_mixture(name, domain, params))

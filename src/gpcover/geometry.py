@@ -8,6 +8,19 @@ least one 4-adjacent pixel edge, which on a grid is the Delaunay relation.
 :func:`compute_partition` is the one place that measures pixel-to-agent
 distances; the partition keeps each pixel's squared distance to its owner
 for the locational cost. Pixel centres come from :meth:`Domain.axis_centers`.
+
+The distances come from per-agent squared offsets along each axis,
+``d2 = dx2[i, x] + dy2[i, y]``, in row blocks. A block skips agent ``j`` when
+``dx2[j, x] + min dy2[j]`` exceeds ``U(x) + margin`` at every column ``x``,
+where ``U(x) = min_k (dx2[k, x] + max dy2[k])`` over the block's rows and
+``margin = 1e-9 * (max dx2 + max dy2)``. Float addition rounds monotonically,
+so at every pixel of the block ``d2`` of ``j`` is at least its bound, which is
+above ``U(x)``, which is at least ``d2`` of the agent attaining it: that agent
+is strictly closer in the very sums the sweep compares, and the minimum, the
+owner and every tie come out as in a sweep over all agents. The margin sits
+many orders of magnitude above rounding and only makes skipping rarer; it is
+infinite, so that nothing is skipped, wherever a distance sum could overflow.
+The neighbor graph is built from ``owner`` when it is first read.
 """
 
 from __future__ import annotations
@@ -85,14 +98,21 @@ class VoronoiPartition:
     owner, ``(x - px)^2 + (y - py)^2``. ``cells[i]`` holds agent i's pixels
     as sorted flat row-major indices.
     ``neighbors[i]`` is a sorted tuple of adjacent agent indices and
-    ``laplacian`` is the integer graph Laplacian ``D - A`` of that relation.
+    ``laplacian`` is the integer graph Laplacian ``D - A`` of that relation;
+    both are built from ``owner`` on first read.
     """
 
     owner: np.ndarray
     dist2: np.ndarray
     cells: tuple[np.ndarray, ...]
-    neighbors: tuple[tuple[int, ...], ...]
-    laplacian: np.ndarray
+
+    @cached_property
+    def neighbors(self) -> tuple[tuple[int, ...], ...]:
+        return _adjacent_pairs(self.owner, len(self.cells))
+
+    @cached_property
+    def laplacian(self) -> np.ndarray:
+        return laplacian_of(self.neighbors)
 
     def edges(self) -> list[tuple[int, int]]:
         """Undirected neighbor pairs ``(i, j)`` with ``i < j``."""
@@ -133,15 +153,24 @@ class CellPixels:
 
 
 def compute_partition(positions, domain: Domain) -> VoronoiPartition:
-    """Assign every pixel to its nearest agent and build the neighbor graph.
+    """Assign every pixel to its nearest agent.
 
     Distances are compared between pixel centers and agent positions, exact
     ties go to the lowest agent index, and the winning squared distances are
     kept as ``dist2``. The running minimum over agents sweeps the grid in
     row blocks of about ``_PARTITION_BLOCK_PIXELS`` pixels, from per-agent
-    squared offsets along each axis; each pixel sees the same sums and
-    comparisons as in one full-grid pass, so the result does not depend on
-    the block size.
+    squared offsets along each axis. Each block sweeps, in index order, only
+    the agents that can own one of its pixels; the first of them writes the
+    block's minimum and owner outright, since every pixel starts at infinity.
+    An agent is skipped when, at every column ``x``, the least of its sums
+    over the block's rows exceeds ``U(x) + margin``, with ``U(x)`` the least
+    over agents of their greatest sum in that column and ``margin = 1e-9 *
+    (max dx2 + max dy2)``. As float addition rounds monotonically, a skipped
+    agent is then strictly farther than some other agent at every pixel of the
+    block, so each pixel gets the same minimum, owner and tie as in one
+    full-grid pass over every agent, whatever the block size (see the module
+    docstring). Each cell is cut from the blocks its agent was swept in. The
+    neighbor graph is left to the partition's first read of it.
     Raises ``OutsideDomainError`` if any position falls outside the
     workspace rectangle.
     """
@@ -157,25 +186,81 @@ def compute_partition(positions, domain: Domain) -> VoronoiPartition:
     xs, ys = domain.axis_centers()
     dx2 = (xs[None, :] - pos[:, :1]) ** 2
     dy2 = (ys[None, :] - pos[:, 1:]) ** 2
-    best = np.full((domain.height, domain.width), np.inf)
-    owner = np.zeros(best.shape, dtype=np.intp)
-    rows = max(1, min(domain.height, _PARTITION_BLOCK_PIXELS // domain.width))
-    d2_buf = np.empty((rows, domain.width))
+    # far above the rounding of any sum below; infinite, so that nothing is
+    # skipped, when a distance sum could overflow
+    margin = 1e-9 * (dx2.max() + dy2.max())
+    height, width = domain.height, domain.width
+    best = np.empty((height, width))
+    owner = np.empty(best.shape, dtype=np.intp)
+    rows = max(1, min(height, _PARTITION_BLOCK_PIXELS // width))
+    d2_buf = np.empty((rows, width))
     closer_buf = np.empty(d2_buf.shape, dtype=bool)
-    for r0 in range(0, domain.height, rows):
-        r1 = min(r0 + rows, domain.height)
+    blocks = []
+    for r0 in range(0, height, rows):
+        r1 = min(r0 + rows, height)
         d2, closer = d2_buf[:r1 - r0], closer_buf[:r1 - r0]
         best_rows, owner_rows = best[r0:r1], owner[r0:r1]
-        for i in range(len(pos)):
+        live = _live_agents(dx2, dy2[:, r0:r1], margin)
+        first = live[0]
+        np.add(dx2[first], dy2[first, r0:r1, None], out=best_rows)
+        owner_rows.fill(first)
+        for i in live[1:]:
             np.add(dx2[i], dy2[i, r0:r1, None], out=d2)
             np.less(d2, best_rows, out=closer)
             np.minimum(best_rows, d2, out=best_rows)
             np.copyto(owner_rows, i, where=closer)
+        blocks.append((r0 * width, r1 * width, live))
+    return VoronoiPartition(owner, best, _cut_cells(owner.ravel(), blocks, len(pos)))
 
-    n = len(pos)
-    cells = tuple(np.flatnonzero(owner.ravel() == i) for i in range(n))
-    neighbors = _adjacent_pairs(owner, n)
-    return VoronoiPartition(owner, best, cells, neighbors, laplacian_of(neighbors))
+
+def _live_agents(dx2: np.ndarray, dy2: np.ndarray, margin: float) -> list[int]:
+    """The agents, in index order, that may own a pixel of one row block.
+
+    ``dx2`` is ``(n, W)`` and ``dy2`` the block's ``(n, rows)`` squared
+    offsets; the bound is the module docstring's. An agent that attains
+    ``U(x)`` never passes its own test, so one agent always remains.
+    """
+    reach = (dx2 + dy2.max(axis=1)[:, None]).min(axis=0)
+    reach += margin
+    lower = dx2 + dy2.min(axis=1)[:, None]
+    skip = np.greater(lower, reach).all(axis=1)
+    return np.flatnonzero(~skip).tolist()
+
+
+def _cut_cells(flat_owner: np.ndarray, blocks, n: int) -> tuple[np.ndarray, ...]:
+    """Each agent's sorted flat pixel indices, cut from the blocks it was swept in.
+
+    ``blocks`` holds ``(start, stop, live)``: a block's flat pixel range and
+    its swept agents. The grid splits into runs of one owner in flat order: a
+    block swept by one agent is one run, and the others split where ``owner``
+    changes. Each agent's runs, in flat order, expand into its cell.
+    """
+    starts = []
+    for start, stop, live in blocks:
+        starts.append(np.array([start], dtype=np.intp))
+        if len(live) > 1:
+            block = flat_owner[start:stop]
+            change = np.flatnonzero(block[1:] != block[:-1])
+            change += start + 1
+            starts.append(change)
+    run_start = np.concatenate(starts)
+    run_length = np.diff(run_start, append=len(flat_owner))
+    run_owner = flat_owner[run_start]
+    order = np.argsort(run_owner, kind="stable")  # each agent's runs stay in flat order
+    run_start, run_length = run_start[order], run_length[order]
+    bounds = np.searchsorted(run_owner[order], np.arange(n + 1))
+    cells = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        start, length = run_start[lo:hi], run_length[lo:hi]
+        # slot k of the cell, in a run that begins at slot s, holds start + (k - s)
+        cell = np.repeat(start - (np.cumsum(length) - length), length)
+        ramp = np.arange(min(_PARTITION_BLOCK_PIXELS, len(cell)))
+        for k0 in range(0, len(cell), _PARTITION_BLOCK_PIXELS):
+            chunk = cell[k0:k0 + _PARTITION_BLOCK_PIXELS]
+            chunk += ramp[:len(chunk)]
+            ramp += len(ramp)
+        cells.append(cell)
+    return tuple(cells)
 
 
 def _adjacent_pairs(owner: np.ndarray, n: int) -> tuple[tuple[int, ...], ...]:

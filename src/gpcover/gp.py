@@ -306,7 +306,11 @@ def greedy_select(candidates, capacity: int, hyper: Hyperparams) -> np.ndarray:
     cand = np.asarray(candidates, dtype=float).reshape(-1, 3)
     if len(cand) <= capacity:
         return cand.copy()
-    pts = cand[:, :2]
+    # the pick's kernel column takes kernel_matrix's steps, in its order, on
+    # per-axis copies of the coordinates and in two reused buffers
+    px, py = cand[:, 0].copy(), cand[:, 1].copy()
+    scale = -2.0 * hyper.lengthscale ** 2
+    col, dy = np.empty(len(cand)), np.empty(len(cand))
     rows = np.zeros((len(cand), capacity))
     var = np.full(len(cand), hyper.signal_variance)
     chosen: list[int] = []
@@ -315,7 +319,14 @@ def greedy_select(candidates, capacity: int, hyper: Hyperparams) -> np.ndarray:
         schur = var[idx] + hyper.noise_variance
         if schur < SCHUR_FLOOR:
             break
-        col = kernel_matrix(pts, pts[idx:idx + 1], hyper)[:, 0]
+        np.subtract(px, px[idx], out=col)
+        col *= col
+        np.subtract(py, py[idx], out=dy)
+        dy *= dy
+        col += dy
+        col /= scale
+        np.exp(col, out=col)
+        col *= hyper.signal_variance
         col -= rows[:, :j] @ rows[idx, :j]
         col /= math.sqrt(schur)
         rows[:, j] = col

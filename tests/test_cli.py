@@ -202,6 +202,9 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
         # 2 * sigma**2 underflows: the centre pixel would rasterize to NaN
         ({"scenario": "custom", "scenario_params": {"blobs": [[10.5, 5.5, 1e-200, 1.0]]},
           "domain": {"width": 48, "height": 27}, "n_agents": 2, "rounds": 1}, "sigma"),
+        # a named scenario's blob width, scaled to the domain, underflows
+        ({"domain": {"width": 48, "height": 27, "cell_size": 1e-170}, "n_agents": 2,
+          "rounds": 2}, "sigma"),
         # small and short, so that a run which ignores the unknown key ends quickly
         ({"scenario": "custom", "scenario_params": {"blobs": [[1, 1, 2, 1]], "sigma": 3},
           "domain": {"width": 24, "height": 14}, "n_agents": 2, "rounds": 1}, "sigma"),

@@ -7,7 +7,7 @@ import pytest
 
 from gpcover import ConfigurationError, Domain, SimConfig, build_scenario
 from gpcover.density import (_EXP_CUT, DensityField, GaussianBlob, GaussianMixture,
-                             _SCENARIOS, check_scenario)
+                             _SCENARIOS, scenario_mixture)
 
 DOMAINS = [Domain(960, 540), Domain(240, 135), Domain(96, 54), Domain(31, 17, 0.37),
            Domain(1, 1), Domain(7, 1, 2.5)]
@@ -88,7 +88,7 @@ def test_blob_widths_out_of_float_range_fail_up_front():
     for sigma in (1e-200, 1e200):
         params = {"blobs": [[10.5, 5.5, sigma, 1.0]]}
         with pytest.raises(ConfigurationError, match=r"blobs\[0\] sigma"):
-            check_scenario("custom", params)
+            scenario_mixture("custom", Domain(48, 27), params)
         with pytest.raises(ConfigurationError, match="sigma"):
             SimConfig(width=48, height=27, scenario="custom", scenario_params=params).validate()
         with pytest.raises(ConfigurationError, match="sigma"):

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gpcover import (Domain, OutsideDomainError, cell_pixels, compute_partition,
-                     laplacian_of)
+from gpcover import (Domain, OutsideDomainError, SimConfig, cell_pixels, compute_partition,
+                     laplacian_of, run, run_lloyd_baseline)
+from gpcover import geometry
 from gpcover.geometry import _PARTITION_BLOCK_PIXELS
 
 from oracles import brute_force_nearest, brute_force_owner
@@ -219,3 +220,131 @@ def test_neighbors_match_the_pixel_pair_oracle_on_thin_grids(width, height):
         pos = rng.uniform([0, 0], [domain.world_width, domain.world_height], size=(n, 2))
         part = compute_partition(pos, domain)
         assert part.neighbors == _oracle_neighbors(part.owner, n)
+
+
+def _full_sweep(positions, domain, block_pixels=_PARTITION_BLOCK_PIXELS):
+    """Every agent over every row block, with cells and neighbors from full-grid scans.
+
+    The sweep as it stood before blocks skipped agents: a running minimum from
+    infinity over all agents in index order, a strict compare, owner 0 to start.
+    """
+    pos = np.atleast_2d(np.asarray(positions, dtype=float))
+    xs, ys = domain.axis_centers()
+    dx2 = (xs[None, :] - pos[:, :1]) ** 2
+    dy2 = (ys[None, :] - pos[:, 1:]) ** 2
+    best = np.full((domain.height, domain.width), np.inf)
+    owner = np.zeros(best.shape, dtype=np.intp)
+    rows = max(1, min(domain.height, block_pixels // domain.width))
+    for r0 in range(0, domain.height, rows):
+        r1 = min(r0 + rows, domain.height)
+        for i in range(len(pos)):
+            d2 = dx2[i] + dy2[i, r0:r1, None]
+            closer = d2 < best[r0:r1]
+            np.minimum(best[r0:r1], d2, out=best[r0:r1])
+            np.copyto(owner[r0:r1], i, where=closer)
+    n = len(pos)
+    cells = [np.flatnonzero(owner.ravel() == i) for i in range(n)]
+    pairs = np.concatenate([np.stack([owner[:, :-1].ravel(), owner[:, 1:].ravel()]),
+                            np.stack([owner[:-1, :].ravel(), owner[1:, :].ravel()])], axis=1)
+    pairs = pairs[:, pairs[0] != pairs[1]]
+    adj = [set() for _ in range(n)]
+    for i, j in np.unique(np.sort(pairs, axis=0), axis=1).T.tolist():
+        adj[i].add(j)
+        adj[j].add(i)
+    return owner, best, cells, tuple(tuple(sorted(a)) for a in adj)
+
+
+def _assert_matches_full_sweep(pos, domain, block_pixels=_PARTITION_BLOCK_PIXELS):
+    part = compute_partition(pos, domain)
+    owner, dist2, cells, neighbors = _full_sweep(pos, domain, block_pixels)
+    assert part.owner.dtype == np.intp
+    np.testing.assert_array_equal(part.owner, owner)
+    assert part.dist2.tobytes() == dist2.tobytes()
+    assert len(part.cells) == len(cells)
+    for got, want in zip(part.cells, cells):
+        assert got.dtype == np.intp
+        np.testing.assert_array_equal(got, want)
+    assert part.neighbors == neighbors
+
+
+def _layouts(rng, domain, n):
+    """Random, grid-aligned (exact ties) and coincident positions of n agents."""
+    w, h, s = domain.world_width, domain.world_height, domain.cell_size
+    grid = rng.integers(0, [2 * domain.width + 1, 2 * domain.height + 1], size=(n, 2)) * 0.5 * s
+    spots = rng.uniform([0, 0], [w, h], size=(max(1, n // 3), 2))
+    return [rng.uniform([0, 0], [w, h], size=(n, 2)), np.minimum(grid, [w, h]),
+            spots[rng.integers(0, len(spots), size=n)]]
+
+
+def test_pruned_sweep_matches_the_full_sweep_where_blocks_skip_agents(monkeypatch):
+    live_counts = []
+    live_agents = geometry._live_agents
+
+    def counted(*args):
+        live = live_agents(*args)
+        live_counts.append((len(live), len(args[0])))
+        return live
+
+    monkeypatch.setattr(geometry, "_live_agents", counted)
+    rng = np.random.default_rng(3)
+    paper = Domain(960, 540)
+    start = [[297.6, 151.2], [652.8, 178.2], [326.4, 383.4], [633.6, 372.6]]
+    for pos in [start, *_layouts(rng, paper, 4), *_layouts(rng, paper, 13)]:
+        _assert_matches_full_sweep(pos, paper)
+    # the paper start sweeps 37 of its 64 agent-blocks
+    live_counts.clear()
+    compute_partition(start, paper)
+    assert sum(live for live, _ in live_counts) == 37 and len(live_counts) == 16
+    # a desk-sized grid in blocks of 960 pixels (4 rows each)
+    monkeypatch.setattr(geometry, "_PARTITION_BLOCK_PIXELS", 960)
+    desk = Domain(240, 135)
+    live_counts.clear()
+    for n in (2, 5, 12, 30):
+        for pos in _layouts(rng, desk, n):
+            _assert_matches_full_sweep(pos, desk, 960)
+    assert sum(live for live, _ in live_counts) < sum(n for _, n in live_counts)
+
+
+@pytest.mark.parametrize("width,height,cell_size",
+                         [(1, 9, 1.0), (9, 1, 1.0), (1, 1, 1.0), (31, 17, 0.37),
+                          (40, 23, 1e-3), (40, 23, 1e3)])
+@pytest.mark.parametrize("block_pixels", [_PARTITION_BLOCK_PIXELS, 40, 7])
+def test_pruned_sweep_matches_the_full_sweep_on_small_and_scaled_grids(
+        monkeypatch, width, height, cell_size, block_pixels):
+    monkeypatch.setattr(geometry, "_PARTITION_BLOCK_PIXELS", block_pixels)
+    domain = Domain(width, height, cell_size)
+    rng = np.random.default_rng(width * 1009 + height)
+    for n in range(1, 31, 3):
+        for pos in _layouts(rng, domain, n):
+            _assert_matches_full_sweep(pos, domain, block_pixels)
+
+
+def test_lloyd_baseline_never_builds_the_neighbor_graph(monkeypatch):
+    calls = []
+    adjacent_pairs = geometry._adjacent_pairs
+
+    def spy(*args):
+        calls.append(args)
+        return adjacent_pairs(*args)
+
+    monkeypatch.setattr(geometry, "_adjacent_pairs", spy)
+    config = SimConfig(width=48, height=27, n_agents=3, rounds=3, seed=2)
+    run_lloyd_baseline(config)
+    assert calls == []
+    # the method reads the graph every round, through the same function
+    run(config)
+    assert len(calls) == config.rounds
+
+
+def test_neighbor_graph_is_built_on_first_read_and_matches_the_oracle():
+    domain = Domain(30, 19)
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 4, 9):
+        for pos in _layouts(rng, domain, n):
+            part = compute_partition(pos, domain)
+            assert "neighbors" not in vars(part) and "laplacian" not in vars(part)
+            oracle = _oracle_neighbors(part.owner, n)
+            np.testing.assert_array_equal(part.laplacian, laplacian_of(oracle))
+            assert part.neighbors == oracle
+            # built once: later reads return the same objects
+            assert part.neighbors is part.neighbors and part.laplacian is part.laplacian

@@ -284,6 +284,46 @@ def test_greedy_skips_rank_deficient_duplicates():
     np.testing.assert_array_equal(out[:, 2], [1.0, 4.0, 3.0])
 
 
+def _greedy_on_kernel_matrix(candidates, capacity, hyper):
+    """Forward selection with each pick's column from ``kernel_matrix``, as written before."""
+    cand = np.asarray(candidates, dtype=float).reshape(-1, 3)
+    if len(cand) <= capacity:
+        return cand.copy()
+    pts = cand[:, :2]
+    rows = np.zeros((len(cand), capacity))
+    var = np.full(len(cand), hyper.signal_variance)
+    chosen = []
+    for j in range(capacity):
+        idx = int(np.argmax(var))
+        schur = var[idx] + hyper.noise_variance
+        if schur < 1e-12:
+            break
+        col = kernel_matrix(pts, pts[idx:idx + 1], hyper)[:, 0]
+        col -= rows[:, :j] @ rows[idx, :j]
+        col /= math.sqrt(schur)
+        rows[:, j] = col
+        var -= col * col
+        var[idx] = -np.inf
+        chosen.append(idx)
+    return cand[chosen]
+
+
+def test_greedy_picks_equal_the_kernel_matrix_columns_bit_for_bit():
+    # pools up to the sizes that refreshes meet, grid-aligned ones with exact ties included
+    rng = np.random.default_rng(11)
+    for trial in range(40):
+        n = int(rng.integers(2, 200))
+        cand = _random_inducing(rng, n, span=float(rng.uniform(1.0, 200.0)))
+        if trial % 4 == 0:
+            cand[:, :2] = np.round(cand[:, :2])
+        h = Hyperparams(lengthscale=float(rng.uniform(0.5, 30.0)),
+                        signal_variance=float(10.0 ** rng.uniform(-4, 2)),
+                        noise_variance=float(10.0 ** rng.uniform(-6, -1)))
+        capacity = int(rng.integers(1, 70))
+        assert (greedy_select(cand, capacity, h).tobytes()
+                == _greedy_on_kernel_matrix(cand, capacity, h).tobytes()), trial
+
+
 def test_greedy_pick_order_contract():
     # continuous pools with noise of at least 1e-4 * signal_variance; zero
     # noise, exact duplicates and symmetric grids are left out, since there

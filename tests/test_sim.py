@@ -403,7 +403,9 @@ def test_config_validation_rejects_bad_values():
                       dict(lengthscale0=float("inf")), dict(signal_variance0=float("inf")),
                       dict(v_max=float("inf")), dict(alpha=float("nan")),
                       dict(eta_adam=float("-inf")), dict(epsilon=np.float64("nan")),
-                      dict(lloyd_gamma=float("nan")), dict(beta=10 ** 400)):
+                      dict(lloyd_gamma=float("nan")), dict(beta=10 ** 400),
+                      # the named scenario's blob width, scaled to this domain, underflows
+                      dict(cell_size=1e-170, width=48, height=27, n_agents=2, rounds=2)):
         with pytest.raises(ConfigurationError, match=next(iter(overrides))):
             SimConfig(**overrides).validate()
     # custom parameters are checked without rasterizing the density
@@ -411,6 +413,10 @@ def test_config_validation_rejects_bad_values():
         SimConfig(scenario="custom",
                   scenario_params={"blobs": [[1, 2, 3, 4]], "background": 0.5}).validate()
         SimConfig(scenario="custom").validate()
+        # so are the named scenarios, scaled to their domain
+        SimConfig().validate()
+        with pytest.raises(ConfigurationError, match="sigma"):
+            SimConfig(width=48, height=27, n_agents=2, rounds=2, cell_size=1e-170).validate()
     # explicit positions outside the workspace fail up front, named and in plain floats
     with pytest.raises(ConfigurationError,
                        match=r"explicit_positions\[1\] at \(200\.0, 5\.0\) is outside"):

@@ -7,9 +7,12 @@ benchmark length, for the method and for the Lloyd baseline, at one BLAS
 thread, and prints one line per workload and seed with the first 16 hex
 digits of each trace CSV's sha256 (method, then Lloyd). Before a workload's
 seeds it prints the same prefix of its rasterized density's bytes
-(``build_scenario(...).values.tobytes()``). A change meant to be
-byte-identical prints the same lines as its parent. The library is imported
-from ``src/`` next to this directory.
+(``build_scenario(...).values.tobytes()``), and after them the prefix of a
+digest of the partitions at every position of seed 1's Lloyd trace, its
+start included: each partition's ``owner`` and ``dist2`` bytes, every cell's
+bytes and the neighbor lists. A change meant to be byte-identical prints the
+same lines as its parent. The library is imported from ``src/`` next to this
+directory.
 """
 
 from __future__ import annotations
@@ -28,7 +31,8 @@ from pathlib import Path  # noqa: E402
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from gpcover import build_scenario, config_from_dict, run, run_lloyd_baseline  # noqa: E402
+from gpcover import (build_scenario, compute_partition, config_from_dict, run,  # noqa: E402
+                     run_lloyd_baseline)
 from workloads import WORKLOADS  # noqa: E402
 
 SEEDS = (1, 2)
@@ -46,14 +50,31 @@ def raster_digest(config) -> str:
     return hashlib.sha256(field.values.tobytes()).hexdigest()[:16]
 
 
+def partition_digest(config, trace) -> str:
+    domain = config.domain()
+    digest = hashlib.sha256()
+    for positions in [trace.initial_positions, *trace.positions]:
+        part = compute_partition(positions, domain)
+        digest.update(part.owner.tobytes())
+        digest.update(part.dist2.tobytes())
+        for cell in part.cells:
+            digest.update(len(cell).to_bytes(8, "little") + cell.tobytes())
+        digest.update(repr(part.neighbors).encode())
+    return digest.hexdigest()[:16]
+
+
 def main() -> int:
     for name, workload in WORKLOADS.items():
         raster = raster_digest(config_from_dict(dict(workload.mapping)))
         print(f"{name} raster: {raster}", flush=True)
         for seed in SEEDS:
             cfg = config_from_dict(dict(workload.mapping, seed=seed, rounds=workload.rounds))
-            method, lloyd = csv_digest(run(cfg)), csv_digest(run_lloyd_baseline(cfg))
-            print(f"{name} seed {seed}: method {method} lloyd {lloyd}", flush=True)
+            lloyd = run_lloyd_baseline(cfg)
+            if seed == SEEDS[0]:
+                partitions = partition_digest(cfg, lloyd)
+            print(f"{name} seed {seed}: method {csv_digest(run(cfg))} lloyd {csv_digest(lloyd)}",
+                  flush=True)
+        print(f"{name} partitions: {partitions}", flush=True)
     return 0
 
 
