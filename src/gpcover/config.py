@@ -110,6 +110,12 @@ class SimConfig:
     def domain(self) -> Domain:
         return Domain(self.width, self.height, self.cell_size)
 
+    def base_lengthscale(self) -> float:
+        """``lengthscale0``, or by default 0.04 times the world's shorter side."""
+        if self.lengthscale0 is not None:
+            return self.lengthscale0
+        return 0.04 * min(self.domain().world_width, self.domain().world_height)
+
     def validate(self) -> None:
         """Raise ``ConfigurationError`` on any mistyped or out-of-range field.
 
@@ -119,7 +125,9 @@ class SimConfig:
         ``scenario`` and ``scenario_params`` go through
         :func:`gpcover.density.scenario_mixture`, which builds the density's
         mixture on the domain with the checks that ``build_scenario`` makes,
-        without rasterizing it.
+        without rasterizing it. The world's squared diagonal must be finite, and
+        ``2 * l**2`` positive and finite for every initial lengthscale ``l`` that
+        a run can draw: the base lengthscale times ``exp(+-hyper_spread)`` at most.
         """
         for name in _INT_FIELDS:
             value = getattr(self, name)
@@ -192,6 +200,18 @@ class SimConfig:
         if self.initial_inducing is not None:
             _check_inducing_blocks(self.initial_inducing, self.n_agents)
         scenario_mixture(self.scenario, domain, self.scenario_params)
+        w, h = domain.world_width, domain.world_height
+        if not math.isfinite(w * w + h * h):
+            raise ConfigurationError(f"cell_size {self.cell_size} is out of range: the "
+                                     f"{w}x{h} world's squared diagonal is not finite")
+        with np.errstate(over="ignore", under="ignore"):
+            two_var = 2.0 * (self.base_lengthscale()
+                             * np.exp([-self.hyper_spread, self.hyper_spread])) ** 2
+        if not np.all((two_var > 0) & (two_var < np.inf)):
+            given = "cell_size" if self.lengthscale0 is None else "lengthscale0"
+            raise ConfigurationError(
+                f"{given} {getattr(self, given)} and hyper_spread {self.hyper_spread} give "
+                f"initial lengthscales l out of range: 2*l**2 spans {two_var[0]}..{two_var[1]}")
 
     def with_overrides(self, **kwargs) -> "SimConfig":
         cfg = replace(self, **kwargs)

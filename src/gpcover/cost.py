@@ -8,7 +8,7 @@ sums with deterministic subsampling so repeated evaluation is bit-stable.
 
 Every node is a pixel centre, so a cell carries grid indices rather than
 coordinates. The expected term takes the posterior mean from
-:func:`gpcover.gp.grid_posterior_mean`, one bounding-box GEMM per cell, and
+:func:`gpcover.gp.grid_posterior_mean`, one bounding-box product per cell, and
 integrates with 1-D offsets per axis. The exploration term works on at most
 ``pair_budget`` nodes and never forms their posterior covariance.
 """
@@ -74,10 +74,7 @@ def _weighted_pixels(cell: CellPixels, idx) -> tuple[np.ndarray, np.ndarray, flo
     """Grid columns and rows of the cell's pixels at ``idx``, with the equal
     share of the cell area that each one carries."""
     k = len(cell)
-    index = cell.index[idx]
-    # floor division by a scalar is several times faster than np.divmod
-    iy = index // cell.domain.width
-    ix = index - iy * cell.domain.width
+    ix, iy = (axis[idx] for axis in cell.grid_index)
     weight = cell.pixel_area if len(ix) == k else k * cell.pixel_area / len(ix)
     return ix, iy, weight
 
@@ -167,9 +164,7 @@ def mass_centroid(cell: CellPixels, values) -> tuple[float, np.ndarray]:
     mass = float(vw.sum())
     if mass < _MASS_FLOOR:
         return mass, np.array(cell.geometric_center, dtype=float)
-    # floor division by a scalar is several times faster than np.divmod
-    iy = cell.index // cell.domain.width
-    ix = cell.index - iy * cell.domain.width
+    ix, iy = cell.grid_index
     xs, ys = cell.domain.axis_centers()
     # cumsum adds in index order, as the column sums of a (k, 2) table do;
     # a pairwise sum() would round differently

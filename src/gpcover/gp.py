@@ -9,15 +9,14 @@ that one factor. Greedy inducing selection keeps each candidate's residual
 variance and updates it by one pivoted-Cholesky column per pick, so a pick
 costs one kernel column instead of a kernel block against every chosen point.
 
-Queries on a pixel grid go through :func:`grid_posterior_mean`: the SE kernel
-factors per axis there, so the mean over a bounding box of pixels is a product
-of per-axis factors (exact Kronecker structure, no interpolation), taken in row
-blocks small enough that BLAS runs each on one thread and the result does not
-depend on the thread count. :func:`lattice_posterior_mean` serves a whole
-lattice of points, such as the rmse metric's strided grid: it adds per-axis
-squared distances into one table and gives the bits of :func:`posterior_mean`
-on the lattice's points. :func:`posterior_mean` and :func:`posterior` serve
-arbitrary query points.
+Queries on a pixel grid go through :func:`lattice_posterior_mean`: the SE
+kernel factors per axis there, so the mean over a lattice of pixel centres is a
+product of per-axis factors (exact Kronecker structure, no interpolation),
+taken in row blocks small enough that BLAS runs each on one thread and the
+result does not depend on the thread count. The expected cost reads it on a
+cell's bounding box through :func:`grid_posterior_mean`, and the rmse metric on
+its strided lattice; both agree with :func:`posterior_mean` to rounding.
+:func:`posterior_mean` and :func:`posterior` serve arbitrary query points.
 """
 
 from __future__ import annotations
@@ -83,13 +82,17 @@ def _squared_distances(a, b) -> np.ndarray:
     return d2
 
 
-def kernel_matrix(a, b, hyper: Hyperparams) -> np.ndarray:
-    """Cross-covariance matrix between two point sets, shape ``(len(a), len(b))``."""
-    d2 = _squared_distances(a, b)
+def _se_kernel(d2: np.ndarray, hyper: Hyperparams) -> np.ndarray:
+    """The SE kernel of a table of squared distances, computed in place."""
     d2 /= -2.0 * hyper.lengthscale ** 2
     np.exp(d2, out=d2)
     d2 *= hyper.signal_variance
     return d2
+
+
+def kernel_matrix(a, b, hyper: Hyperparams) -> np.ndarray:
+    """Cross-covariance matrix between two point sets, shape ``(len(a), len(b))``."""
+    return _se_kernel(_squared_distances(a, b), hyper)
 
 
 def _whiten(gram: np.ndarray) -> np.ndarray:
@@ -184,33 +187,6 @@ def posterior_mean(gp: SparseGP, query) -> np.ndarray:
     return gp.hyper.prior_mean + kq @ gp.weights
 
 
-def lattice_posterior_mean(gp: SparseGP, xs, ys) -> np.ndarray:
-    """Posterior mean on the lattice ``xs x ys``, flattened row-major ``(len(ys) * len(xs),)``.
-
-    Point ``j * len(xs) + i`` is ``(xs[i], ys[j])``, the order of
-    ``np.meshgrid(xs, ys)`` raveled. The squared distances are taken per axis
-    and broadcast-added into one ``(len(ys), len(xs), M)`` table; IEEE addition
-    is commutative, so the table and the GEMV with the weights are those that
-    :func:`posterior_mean` forms on the lattice's points, bit for bit, with
-    neither the point table nor a second distance table.
-    """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    hyper = gp.hyper
-    m = len(gp.points)
-    if m == 0:
-        return np.full(len(xs) * len(ys), hyper.prior_mean)
-    dx2 = _squared_distances(xs[:, None], gp.points[:, :1])
-    dy2 = _squared_distances(ys[:, None], gp.points[:, 1:])
-    table = np.add(dy2[:, None, :], dx2[None, :, :])
-    table /= -2.0 * hyper.lengthscale ** 2
-    np.exp(table, out=table)
-    table *= hyper.signal_variance
-    mean = table.reshape(-1, m) @ gp.weights
-    mean += hyper.prior_mean
-    return mean
-
-
 def _axis_factor(centers: np.ndarray, coords: np.ndarray, lengthscale: float) -> np.ndarray:
     """One axis's factor of the SE kernel, ``exp(-(c - z)^2 / 2l^2)``, ``(len(c), len(z))``."""
     out = _squared_distances(centers[:, None], coords[:, None])
@@ -218,40 +194,50 @@ def _axis_factor(centers: np.ndarray, coords: np.ndarray, lengthscale: float) ->
     return np.exp(out, out=out)
 
 
+def lattice_posterior_mean(gp: SparseGP, xs, ys) -> np.ndarray:
+    """Posterior mean on the lattice ``xs x ys``, flattened row-major ``(len(ys) * len(xs),)``.
+
+    Point ``j * len(xs) + i`` is ``(xs[i], ys[j])``, the order of
+    ``np.meshgrid(xs, ys)`` raveled. The SE kernel factors per axis,
+    ``K(q, z) = sv * ex[i] * ey[j]``, so the mean is ``prior_mean +
+    (ey * sv * weights) @ ex.T``, taken in row blocks of at most
+    ``_SERIAL_GEMM_MACS`` multiply-adds so that its bits do not depend on the
+    BLAS thread count. Agrees with :func:`posterior_mean` to rounding.
+    """
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    hyper = gp.hyper
+    if len(gp.points) == 0 or len(xs) == 0 or len(ys) == 0:
+        return np.full(len(xs) * len(ys), hyper.prior_mean)
+    ex = _axis_factor(xs, gp.points[:, 0], hyper.lengthscale)
+    ey = _axis_factor(ys, gp.points[:, 1], hyper.lengthscale)
+    ey *= hyper.signal_variance * gp.weights
+    mean = np.empty((len(ys), len(xs)))
+    rows = max(1, _SERIAL_GEMM_MACS // (len(xs) * len(gp.weights)))
+    for r in range(0, len(ys), rows):
+        np.matmul(ey[r:r + rows], ex.T, out=mean[r:r + rows])
+    mean += hyper.prior_mean
+    return mean.ravel()
+
+
 def grid_posterior_mean(gp: SparseGP, xs: np.ndarray, ys: np.ndarray, ix, iy) -> np.ndarray:
     """Posterior mean at the pixel centres ``(xs[ix], ys[iy])`` of a grid.
 
-    On a grid the SE kernel factors per axis, ``K(q, z) = sv * ex[ix] * ey[iy]``,
-    so the mean over the bounding box of the queried pixels is
-    ``(ey * a) @ ex.T`` with ``a = sv * weights``, gathered at
-    ``(iy, ix)``. The product is taken in row blocks of at most
-    ``_SERIAL_GEMM_MACS`` multiply-adds, so its bits do not depend on the BLAS
-    thread count. Its temporaries are the ``(Hb, M)`` and ``(Wb, M)`` factors
-    and the ``(Hb, Wb)`` box, never a table of every query against every
-    inducing point. Agrees with :func:`posterior_mean` to rounding.
+    :func:`lattice_posterior_mean` on the bounding box of the queried pixels,
+    gathered at ``(iy, ix)``.
     """
     ix = np.asarray(ix)
     iy = np.asarray(iy)
-    hyper = gp.hyper
-    if len(gp.points) == 0 or ix.size == 0:
-        return np.full(ix.shape, hyper.prior_mean)
+    if ix.size == 0:
+        return np.full(ix.shape, gp.hyper.prior_mean)
     x0, y0 = int(ix.min()), int(iy.min())
-    ex = _axis_factor(xs[x0:int(ix.max()) + 1], gp.points[:, 0], hyper.lengthscale)
-    ey = _axis_factor(ys[y0:int(iy.max()) + 1], gp.points[:, 1], hyper.lengthscale)
-    a = hyper.signal_variance * gp.weights
-    ey *= a
-    box = np.empty((len(ey), len(ex)))
-    rows = max(1, _SERIAL_GEMM_MACS // (len(ex) * len(a)))
-    for r in range(0, len(ey), rows):
-        np.matmul(ey[r:r + rows], ex.T, out=box[r:r + rows])
+    box_xs = xs[x0:int(ix.max()) + 1]
+    box = lattice_posterior_mean(gp, box_xs, ys[y0:int(iy.max()) + 1])
     # one flat gather from the box, its row-major index built in place
     flat = iy - y0
-    flat *= len(ex)
+    flat *= len(box_xs)
     flat += ix
     flat -= x0
-    mean = box.take(flat)
-    mean += hyper.prior_mean
-    return mean
+    return box.take(flat)
 
 
 def smw_extend(inverse: np.ndarray, points, new_point, hyper: Hyperparams) -> np.ndarray:
@@ -371,7 +357,7 @@ def log_marginal_likelihood(points, values, hyper: Hyperparams):
     y = np.asarray(values, dtype=float).reshape(-1) - hyper.prior_mean
     n = len(pts)
     d2 = _squared_distances(pts, pts)
-    kf = kernel_matrix(pts, pts, hyper)
+    kf = _se_kernel(d2.copy(), hyper)
     whiten = _whiten(kf + hyper.noise_variance * np.eye(n))
     alpha = whiten.T @ (whiten @ y)
     logdet = -2.0 * float(np.sum(np.log(np.diag(whiten))))

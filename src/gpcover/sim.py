@@ -7,8 +7,9 @@ step down its spatially-informed cost. The engine runs each phase under an
 explicit audit context; any read of agent-owned state that the active phase
 does not sanction is recorded and fails the run. The trace's ``rmse`` scores
 each agent's posterior mean on every ``rmse_stride``-th pixel centre along each
-axis, through :func:`gpcover.gp.lattice_posterior_mean`, once per model: an
-agent that still holds the model object it held last round keeps its score.
+axis, every round, through :func:`gpcover.gp.lattice_posterior_mean`: the same
+per-axis kernel product that the expected cost reads, which agrees with
+:func:`gpcover.gp.posterior_mean` to rounding.
 """
 
 from __future__ import annotations
@@ -192,11 +193,8 @@ def initial_positions(config: SimConfig, domain: Domain) -> np.ndarray:
     return out
 
 
-def _initial_hyper(config: SimConfig, domain: Domain, field: DensityField,
-                   noise_sigma: float, agent_id: int) -> Hyperparams:
-    base_l = config.lengthscale0
-    if base_l is None:
-        base_l = 0.04 * min(domain.world_width, domain.world_height)
+def _initial_hyper(config: SimConfig, field: DensityField, noise_sigma: float,
+                   agent_id: int) -> Hyperparams:
     base_sv = config.signal_variance0
     if base_sv is None:
         base_sv = (0.5 * field.max_value) ** 2
@@ -205,17 +203,17 @@ def _initial_hyper(config: SimConfig, domain: Domain, field: DensityField,
         # floored so log-space consensus stays defined under zero sampling noise
         base_nv = max(noise_sigma ** 2, 1e-6 * base_sv)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(2, agent_id)))
-    spread = config.hyper_spread
-    f_l, f_sv, f_nv = np.exp(rng.uniform(-spread, spread, size=3))
-    return Hyperparams(base_l * f_l, base_sv * f_sv, base_nv * f_nv, config.prior_mean0)
+    f_l, f_sv, f_nv = np.exp(rng.uniform(-config.hyper_spread, config.hyper_spread, size=3))
+    return Hyperparams(config.base_lengthscale() * f_l, base_sv * f_sv, base_nv * f_nv,
+                       config.prior_mean0)
 
 
-def _init_agents(config: SimConfig, domain: Domain, field: DensityField, noise_sigma: float,
+def _init_agents(config: SimConfig, field: DensityField, noise_sigma: float,
                  positions: np.ndarray, audit: AccessAudit) -> list[AgentState]:
     seeds = config.initial_inducing
     agents = []
     for i in range(config.n_agents):
-        hyper = _initial_hyper(config, domain, field, noise_sigma, i)
+        hyper = _initial_hyper(config, field, noise_sigma, i)
         inducing = np.zeros((0, 3)) if seeds is None else np.asarray(seeds[i], dtype=float)
         gp = SparseGP.fit(inducing, hyper)
         opt = OptimizerState(eta=config.eta, eta_adam=config.eta_adam, v_max=config.v_max,
@@ -274,7 +272,7 @@ def run(config: SimConfig, audit: AccessAudit | None = None, sample_probe=None) 
         audit = AccessAudit()
 
     positions = initial_positions(config, domain)
-    agents = _init_agents(config, domain, field, noise_sigma, positions, audit)
+    agents = _init_agents(config, field, noise_sigma, positions, audit)
     noise_rngs = [
         np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(1, i)))
         for i in range(config.n_agents)
@@ -282,15 +280,6 @@ def run(config: SimConfig, audit: AccessAudit | None = None, sample_probe=None) 
     quad = QuadratureSpec(config.single_stride, config.pair_budget, config.beta)
     consensus_cfg = ConsensusConfig(config.alpha, config.log_space_consensus)
     metric_xs, metric_ys, metric_phi = _metric_grid(domain, field, config.rmse_stride)
-    # each agent's last scored model and its rmse; models are immutable, so an
-    # agent whose model object is unchanged keeps its score
-    scored: list[tuple[SparseGP | None, float]] = [(None, 0.0)] * config.n_agents
-
-    def agent_rmse(i: int, gp: SparseGP) -> float:
-        if scored[i][0] is not gp:
-            err = lattice_posterior_mean(gp, metric_xs, metric_ys) - metric_phi
-            scored[i] = (gp, float(np.sqrt(np.mean(err ** 2))))
-        return scored[i][1]
 
     def advance(t, positions, partition):
         audit.round = t
@@ -347,9 +336,11 @@ def run(config: SimConfig, audit: AccessAudit | None = None, sample_probe=None) 
 
         current = np.array([a.pos for a in agents])
         with audit.metrics():
-            errs = [agent_rmse(i, a.gp) for i, a in enumerate(agents)]
+            errs = [lattice_posterior_mean(a.gp, metric_xs, metric_ys) - metric_phi
+                    for a in agents]
             counts = [len(a.gp) for a in agents]
-        return current, float(np.mean(errs)), len(audit.messages) - messages_before, counts
+        rmse = float(np.mean([np.sqrt(np.mean(err ** 2)) for err in errs]))
+        return current, rmse, len(audit.messages) - messages_before, counts
 
     trace = _rollout(config, domain, field, positions, advance)
     if audit.violations:

@@ -205,6 +205,9 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
         # a named scenario's blob width, scaled to the domain, underflows
         ({"domain": {"width": 48, "height": 27, "cell_size": 1e-170}, "n_agents": 2,
           "rounds": 2}, "sigma"),
+        # the world's squared diagonal overflows under a scenario with no blob to check
+        ({"domain": {"width": 48, "height": 27, "cell_size": 1e200}, "scenario": "uniform",
+          "n_agents": 2, "rounds": 2}, "cell_size"),
         # small and short, so that a run which ignores the unknown key ends quickly
         ({"scenario": "custom", "scenario_params": {"blobs": [[1, 1, 2, 1]], "sigma": 3},
           "domain": {"width": 24, "height": 14}, "n_agents": 2, "rounds": 1}, "sigma"),

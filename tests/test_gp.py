@@ -148,6 +148,8 @@ def test_grid_posterior_mean_matches_dense_posterior_mean():
 
 
 def test_lattice_posterior_mean_is_bit_identical_to_the_dense_mean():
+    """The lattice mean is the per-axis product: the dense mean's bits on the
+    empty model, and the dense mean to rounding once there is data."""
     rng = np.random.default_rng(13)
     # (domain, stride): 1x1, one row, one column, a stride longer than the grid,
     # half-unit pixels, a domain taller than wide, and a plain strided grid
@@ -166,8 +168,13 @@ def test_lattice_posterior_mean_is_bit_identical_to_the_dense_mean():
                                 rng.uniform(1e-4, 0.2), prior_mean=rng.uniform(-1.0, 1.0))
             gp = SparseGP.fit(rows, hyper)
             lattice = lattice_posterior_mean(gp, xs, ys)
-            assert lattice.shape == (len(query),)
-            np.testing.assert_array_equal(lattice, posterior_mean(gp, query))
+            dense = posterior_mean(gp, query)
+            assert lattice.shape == dense.shape == (len(query),)
+            if n == 0:
+                np.testing.assert_array_equal(lattice, dense)
+            scale = max(float(np.max(np.abs(rows[:, 2] - hyper.prior_mean), initial=0.0)),
+                        abs(hyper.prior_mean))
+            assert np.max(np.abs(lattice - dense)) <= 1e-12 * scale
 
 
 def test_with_hyper_skips_only_the_refits_that_cannot_change_the_model():
@@ -388,6 +395,38 @@ def test_lml_gradient_matches_finite_differences():
             pts, vals, Hyperparams(*np.exp(down), prior_mean=0.1))
         fd = (lml_up - lml_down) / (2 * eps)
         assert abs(grad[axis] - fd) <= 1e-5 * max(1.0, abs(fd))
+
+
+def _two_table_log_marginal_likelihood(points, values, hyper):
+    """The log evidence written with two distance tables: one kept for the
+    lengthscale gradient and a second inside ``kernel_matrix``."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    y = np.asarray(values, dtype=float).reshape(-1) - hyper.prior_mean
+    n = len(pts)
+    dx = np.subtract.outer(pts[:, 0], pts[:, 0])
+    dy = np.subtract.outer(pts[:, 1], pts[:, 1])
+    d2 = dx * dx + dy * dy
+    kf = kernel_matrix(pts, pts, hyper)
+    whiten = np.linalg.inv(np.linalg.cholesky(kf + hyper.noise_variance * np.eye(n)))
+    alpha = whiten.T @ (whiten @ y)
+    logdet = -2.0 * float(np.sum(np.log(np.diag(whiten))))
+    lml = -0.5 * float(y @ alpha) - 0.5 * logdet - 0.5 * n * math.log(2.0 * math.pi)
+    w = np.outer(alpha, alpha) - whiten.T @ whiten
+    grad = 0.5 * np.array([np.sum(w * (kf * d2 / hyper.lengthscale ** 2)), np.sum(w * kf),
+                           np.sum(w * (hyper.noise_variance * np.eye(n)))])
+    return lml, grad
+
+
+def test_log_marginal_likelihood_equals_its_two_table_form_bit_for_bit():
+    rng = np.random.default_rng(15)
+    for n in (1, 2, 9, 60):
+        rows = _random_inducing(rng, n, span=30.0)
+        hyper = Hyperparams(rng.uniform(0.5, 20.0), rng.uniform(0.1, 5.0),
+                            rng.uniform(1e-4, 0.2), prior_mean=rng.uniform(-1.0, 1.0))
+        lml, grad = log_marginal_likelihood(rows[:, :2], rows[:, 2], hyper)
+        ref_lml, ref_grad = _two_table_log_marginal_likelihood(rows[:, :2], rows[:, 2], hyper)
+        assert lml == ref_lml
+        assert grad.tobytes() == ref_grad.tobytes()
 
 
 def test_refit_zero_steps_returns_input():

@@ -99,34 +99,12 @@ def test_rmse_is_the_dense_rmse_of_the_agents_models():
     domain = config.domain()
     field = build_scenario(config.scenario, domain, config.scenario_params)
     xs, ys = domain.axis_centers()
-    gx, gy = np.meshgrid(xs[::5], ys[::5])
+    xs, ys = xs[::5], ys[::5]
+    gx, gy = np.meshgrid(xs, ys)
     query = np.column_stack([gx.ravel(), gy.ravel()])
     phi = field.values[::5, ::5].ravel()
-    models: list[list[SparseGP]] = []
-    trace = run(config, sample_probe=lambda t, agents: models.append([a.gp for a in agents]))
-    # between refreshes the models the probe sees are those the metric reads
-    pinned = [t for t in range(config.rounds) if t % config.T != 0]
-    assert len(pinned) == 13
-    for t in pinned:
-        errs = [float(np.sqrt(np.mean((posterior_mean(gp, query) - phi) ** 2)))
-                for gp in models[t]]
-        assert trace.rmse[t] == float(np.mean(errs))
-
-
-def test_rmse_scores_each_model_of_an_agent_once():
-    # identical starting hyperparameters stay fixed under consensus, so models
-    # carry over between refreshes
-    config = TINY.with_overrides(hyper_spread=0.0, rounds=10)
-    domain = config.domain()
-    field = build_scenario(config.scenario, domain, config.scenario_params)
-    xs, ys = domain.axis_centers()
-    phi = field.values[::4, ::4].ravel()
-    audit, agents, held, scored = AccessAudit(), [], [], []
-    real_mean, real_cost = sim.lattice_posterior_mean, sim.true_locational_cost
-
-    def spy_mean(gp, *args):
-        scored.append(next(i for i, a in enumerate(agents) if a.gp is gp))
-        return real_mean(gp, *args)
+    audit, agents, held = AccessAudit(), [], []
+    real_cost = sim.true_locational_cost
 
     def models_after_round(*args):
         # called once a round, after the rmse; the models it sees are those scored
@@ -134,17 +112,16 @@ def test_rmse_scores_each_model_of_an_agent_once():
             held.append([a.gp for a in agents])
         return real_cost(*args)
 
-    with patch.object(sim, "lattice_posterior_mean", spy_mean), \
-            patch.object(sim, "true_locational_cost", models_after_round):
+    with patch.object(sim, "true_locational_cost", models_after_round):
         trace = run(config, audit, sample_probe=lambda t, a: agents[:] or agents.extend(a))
-    changed = [i for t, models in enumerate(held) for i, gp in enumerate(models)
-               if t == 0 or gp is not held[t - 1][i]]
-    assert scored == changed
-    assert 0 < len(scored) < config.rounds * config.n_agents
+    assert len(held) == config.rounds
     for t, models in enumerate(held):
-        errs = [float(np.sqrt(np.mean((real_mean(gp, xs[::4], ys[::4]) - phi) ** 2)))
-                for gp in models]
-        assert trace.rmse[t] == float(np.mean(errs))
+        lattice = [float(np.sqrt(np.mean((sim.lattice_posterior_mean(gp, xs, ys) - phi) ** 2)))
+                   for gp in models]
+        assert trace.rmse[t] == float(np.mean(lattice))
+        dense = [float(np.sqrt(np.mean((posterior_mean(gp, query) - phi) ** 2)))
+                 for gp in models]
+        np.testing.assert_allclose(np.mean(lattice), np.mean(dense), rtol=1e-12)
 
 
 def test_trace_shapes_and_bounds():
@@ -405,7 +382,23 @@ def test_config_validation_rejects_bad_values():
                       dict(eta_adam=float("-inf")), dict(epsilon=np.float64("nan")),
                       dict(lloyd_gamma=float("nan")), dict(beta=10 ** 400),
                       # the named scenario's blob width, scaled to this domain, underflows
-                      dict(cell_size=1e-170, width=48, height=27, n_agents=2, rounds=2)):
+                      dict(cell_size=1e-170, width=48, height=27, n_agents=2, rounds=2),
+                      # the world's squared diagonal overflows, or the world size itself
+                      dict(cell_size=1e200, width=48, height=27, n_agents=2, rounds=2,
+                           scenario="uniform"),
+                      dict(cell_size=1e307, width=48, height=27, n_agents=2, rounds=2,
+                           scenario="uniform"),
+                      dict(cell_size=1e200, width=48, height=27, n_agents=2, rounds=2,
+                           scenario="uniform", lengthscale0=24.0),
+                      # 2 * l**2 of the derived, the given or the spread lengthscale
+                      # underflows or overflows
+                      dict(cell_size=1e-300, width=48, height=27, n_agents=2, rounds=2,
+                           scenario="uniform"),
+                      dict(lengthscale0=1e-200, width=48, height=27, n_agents=2, rounds=2),
+                      dict(lengthscale0=1e200, width=48, height=27, n_agents=2, rounds=2),
+                      dict(hyper_spread=800.0, width=48, height=27, n_agents=2, rounds=2),
+                      # only the narrowest lengthscale that the spread can draw underflows
+                      dict(hyper_spread=10.0, lengthscale0=1e-160)):
         with pytest.raises(ConfigurationError, match=next(iter(overrides))):
             SimConfig(**overrides).validate()
     # custom parameters are checked without rasterizing the density
@@ -417,6 +410,12 @@ def test_config_validation_rejects_bad_values():
         SimConfig().validate()
         with pytest.raises(ConfigurationError, match="sigma"):
             SimConfig(width=48, height=27, n_agents=2, rounds=2, cell_size=1e-170).validate()
+        # and the world's scales
+        with pytest.raises(ConfigurationError, match="cell_size"):
+            SimConfig(width=48, height=27, n_agents=2, rounds=2, scenario="uniform",
+                      cell_size=1e200, lengthscale0=24.0).validate()
+        with pytest.raises(ConfigurationError, match="hyper_spread"):
+            SimConfig(hyper_spread=800.0).validate()
     # explicit positions outside the workspace fail up front, named and in plain floats
     with pytest.raises(ConfigurationError,
                        match=r"explicit_positions\[1\] at \(200\.0, 5\.0\) is outside"):
@@ -426,6 +425,9 @@ def test_config_validation_rejects_bad_values():
     SimConfig(n_agents=2, initial_inducing=(np.zeros((0, 3)), [[1, 2, 3]])).validate()
     # numpy integers are integers
     SimConfig(n_agents=np.int64(3), seed=np.int32(2)).validate()
+    # far from the float range's ends, small and large scales are fine
+    SimConfig(lengthscale0=1e-140, hyper_spread=10.0).validate()
+    SimConfig(lengthscale0=1e140, hyper_spread=10.0).validate()
     # zero noise is fine when consensus averages the noise variance linearly
     SimConfig(noise_variance0=0.0, log_space_consensus=False).validate()
     with pytest.raises(ConfigurationError):

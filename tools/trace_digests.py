@@ -5,8 +5,10 @@
 Runs each workload of ``perfbench/workloads.py`` on seeds 1 and 2 at its
 benchmark length, for the method and for the Lloyd baseline, at one BLAS
 thread, and prints one line per workload and seed with the first 16 hex
-digits of each trace CSV's sha256 (method, then Lloyd). Before a workload's
-seeds it prints the same prefix of its rasterized density's bytes
+digits of each trace CSV's sha256: the method's, then the method's path
+digest (the same CSV with its ``rmse`` column dropped), then Lloyd's. A
+change that moves only the rmse metric keeps every path digest. Before a
+workload's seeds it prints the same prefix of its rasterized density's bytes
 (``build_scenario(...).values.tobytes()``), and after them the prefix of a
 digest of the partitions at every position of seed 1's Lloyd trace, its
 start included: each partition's ``owner`` and ``dist2`` bytes, every cell's
@@ -33,21 +35,33 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from gpcover import (build_scenario, compute_partition, config_from_dict, run,  # noqa: E402
                      run_lloyd_baseline)
+from gpcover.sim import CSV_FIXED_COLUMNS  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 SEEDS = (1, 2)
 
 
-def csv_digest(trace) -> str:
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def csv_bytes(trace) -> bytes:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "trace.csv"
         trace.to_csv(path)
-        return hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+        return path.read_bytes()
+
+
+def path_bytes(csv: bytes) -> bytes:
+    """The trace CSV without its ``rmse`` column."""
+    col = CSV_FIXED_COLUMNS.index("rmse")
+    rows = [line.split(b",") for line in csv.split(b"\n")]
+    return b"\n".join(b",".join(row[:col] + row[col + 1:]) for row in rows)
 
 
 def raster_digest(config) -> str:
     field = build_scenario(config.scenario, config.domain(), config.scenario_params)
-    return hashlib.sha256(field.values.tobytes()).hexdigest()[:16]
+    return _digest(field.values.tobytes())
 
 
 def partition_digest(config, trace) -> str:
@@ -72,8 +86,9 @@ def main() -> int:
             lloyd = run_lloyd_baseline(cfg)
             if seed == SEEDS[0]:
                 partitions = partition_digest(cfg, lloyd)
-            print(f"{name} seed {seed}: method {csv_digest(run(cfg))} lloyd {csv_digest(lloyd)}",
-                  flush=True)
+            method = csv_bytes(run(cfg))
+            print(f"{name} seed {seed}: method {_digest(method)} path "
+                  f"{_digest(path_bytes(method))} lloyd {_digest(csv_bytes(lloyd))}", flush=True)
         print(f"{name} partitions: {partitions}", flush=True)
     return 0
 
