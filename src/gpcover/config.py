@@ -239,10 +239,14 @@ def config_from_dict(data: dict) -> SimConfig:
 
     Top-level keys may be field names or one of the section names
     (``domain``, ``gp``, ``optimizer``, ``consensus``, ``quadrature``,
-    ``init``, ``metrics``); unknown keys raise ``ConfigurationError``.
+    ``init``, ``metrics``); unknown keys, or ``data`` that is neither a
+    mapping nor ``None``, raise ``ConfigurationError``.
     """
+    data = {} if data is None else data
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"configuration must be a mapping, got {type(data).__name__}")
     flat: dict = {}
-    for key, value in (data or {}).items():
+    for key, value in data.items():
         if key in _SECTIONS:
             if not isinstance(value, dict):
                 raise ConfigurationError(f"section {key!r} must be a mapping")

@@ -20,7 +20,7 @@ is strictly closer in the very sums the sweep compares, and the minimum, the
 owner and every tie come out as in a sweep over all agents. The margin sits
 many orders of magnitude above rounding and only makes skipping rarer; it is
 infinite, so that nothing is skipped, wherever a distance sum could overflow.
-The neighbor graph is built from ``owner`` when it is first read.
+The neighbor graph is built on its first read, from the owner runs of the cut.
 """
 
 from __future__ import annotations
@@ -96,19 +96,21 @@ class VoronoiPartition:
     ``owner`` is ``(H, W)`` with the winning agent index per pixel and
     ``dist2`` is ``(H, W)`` with each pixel centre's squared distance to its
     owner, ``(x - px)^2 + (y - py)^2``. ``cells[i]`` holds agent i's pixels
-    as sorted flat row-major indices.
+    as sorted flat row-major indices. ``run_start`` holds, increasing, the flat
+    index of the first pixel of each run of one owner in flat order.
     ``neighbors[i]`` is a sorted tuple of adjacent agent indices and
     ``laplacian`` is the integer graph Laplacian ``D - A`` of that relation;
-    both are built from ``owner`` on first read.
+    both are built from the runs on first read.
     """
 
     owner: np.ndarray
     dist2: np.ndarray
     cells: tuple[np.ndarray, ...]
+    run_start: np.ndarray
 
     @cached_property
     def neighbors(self) -> tuple[tuple[int, ...], ...]:
-        return _adjacent_pairs(self.owner, len(self.cells))
+        return _adjacent_pairs(self.owner, self.run_start, len(self.cells))
 
     @cached_property
     def laplacian(self) -> np.ndarray:
@@ -217,7 +219,7 @@ def compute_partition(positions, domain: Domain) -> VoronoiPartition:
             np.minimum(best_rows, d2, out=best_rows)
             np.copyto(owner_rows, i, where=closer)
         blocks.append((r0 * width, r1 * width, live))
-    return VoronoiPartition(owner, best, _cut_cells(owner.ravel(), blocks, len(pos)))
+    return VoronoiPartition(owner, best, *_cut_cells(owner.ravel(), blocks, len(pos)))
 
 
 def _live_agents(dx2: np.ndarray, dy2: np.ndarray, margin: float) -> list[int]:
@@ -234,13 +236,14 @@ def _live_agents(dx2: np.ndarray, dy2: np.ndarray, margin: float) -> list[int]:
     return np.flatnonzero(~skip).tolist()
 
 
-def _cut_cells(flat_owner: np.ndarray, blocks, n: int) -> tuple[np.ndarray, ...]:
+def _cut_cells(flat_owner: np.ndarray, blocks, n: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """Each agent's sorted flat pixel indices, cut from the blocks it was swept in.
 
     ``blocks`` holds ``(start, stop, live)``: a block's flat pixel range and
     its swept agents. The grid splits into runs of one owner in flat order: a
     block swept by one agent is one run, and the others split where ``owner``
-    changes. Each agent's runs, in flat order, expand into its cell.
+    changes. Each agent's runs, in flat order, expand into its cell. Returns
+    the cells and the runs' start indices, in flat order.
     """
     starts = []
     for start, stop, live in blocks:
@@ -254,11 +257,10 @@ def _cut_cells(flat_owner: np.ndarray, blocks, n: int) -> tuple[np.ndarray, ...]
     run_length = np.diff(run_start, append=len(flat_owner))
     run_owner = flat_owner[run_start]
     order = np.argsort(run_owner, kind="stable")  # each agent's runs stay in flat order
-    run_start, run_length = run_start[order], run_length[order]
     bounds = np.searchsorted(run_owner[order], np.arange(n + 1))
     cells = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        start, length = run_start[lo:hi], run_length[lo:hi]
+        start, length = run_start[order[lo:hi]], run_length[order[lo:hi]]
         # slot k of the cell, in a run that begins at slot s, holds start + (k - s)
         cell = np.repeat(start - (np.cumsum(length) - length), length)
         ramp = np.arange(min(_PARTITION_BLOCK_PIXELS, len(cell)))
@@ -267,31 +269,29 @@ def _cut_cells(flat_owner: np.ndarray, blocks, n: int) -> tuple[np.ndarray, ...]
             chunk += ramp[:len(chunk)]
             ramp += len(ramp)
         cells.append(cell)
-    return tuple(cells)
+    return tuple(cells), run_start
 
 
-def _adjacent_pairs(owner: np.ndarray, n: int) -> tuple[tuple[int, ...], ...]:
-    # horizontal and vertical pixel-edge crossings between different owners,
-    # one scan of each direction's mask, as the flat index of the left or upper pixel
-    width = owner.shape[1]
-    flat = owner.ravel()
-    left = np.flatnonzero(owner[:, :-1] != owner[:, 1:])
-    left += left // max(width - 1, 1)  # a mask row holds width - 1 edges
-    up = np.flatnonzero(owner[:-1, :] != owner[1:, :])
-    pairs = []
-    for first, step in ((left, 1), (up, width)):
-        if len(first):
-            a, b = flat.take(first), flat.take(first + step)
-            lo = np.minimum(a, b)
-            hi = np.maximum(a, b)
-            pairs.append(lo.astype(np.int64) * n + hi.astype(np.int64))
-    adj: list[set[int]] = [set() for _ in range(n)]
-    if pairs:
-        for code in np.unique(np.concatenate(pairs)):
-            i, j = divmod(int(code), n)
-            adj[i].add(j)
-            adj[j].add(i)
-    return tuple(tuple(sorted(s)) for s in adj)
+def _adjacent_pairs(owner: np.ndarray, run_start: np.ndarray,
+                    n: int) -> tuple[tuple[int, ...], ...]:
+    # Compare each run start with its left, upper and lower pixel (off the
+    # grid: itself). Owners side by side differ at a run start. For a above b
+    # in rows r and r + 1, walk left while that holds: the walk ends at a run
+    # start in either row, or at the rows' first pixels. If neither starts a
+    # run, the flat predecessors hold a and b: a sits above b in the last
+    # column of rows r - 1 and r, and that stretch ends at a run start before
+    # column 0, where row r holds a. So every meeting pair is found.
+    width, flat = owner.shape[1], owner.ravel()
+    column = run_start % width
+    near = np.stack([run_start - (column > 0), np.maximum(run_start - width, column),
+                     np.minimum(run_start + width, column + (flat.size - width))])
+    pair = flat[near] + flat[run_start] * n
+    adjacent = np.bincount(pair.ravel(), minlength=n * n).reshape(n, n) > 0
+    adjacent |= adjacent.T
+    np.fill_diagonal(adjacent, False)
+    agent, other = np.nonzero(adjacent)
+    bounds = np.searchsorted(agent, np.arange(n + 1))
+    return tuple(tuple(other[lo:hi].tolist()) for lo, hi in zip(bounds[:-1], bounds[1:]))
 
 
 def laplacian_of(neighbors) -> np.ndarray:

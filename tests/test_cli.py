@@ -103,6 +103,10 @@ def test_config_from_dict_rejects_unknown_keys():
         config_from_dict({"gp": {"speed": 3}})
     with pytest.raises(ConfigurationError):
         config_from_dict({"gp": 5})
+    for data in (["width", 3], "abc", 5):
+        with pytest.raises(ConfigurationError, match="configuration must be a mapping"):
+            config_from_dict(data)
+    assert repr(config_from_dict(None)) == repr(SimConfig())
 
 
 def test_load_config_roundtrip(tmp_path):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -222,6 +224,10 @@ def test_neighbors_match_the_pixel_pair_oracle_on_thin_grids(width, height):
         assert part.neighbors == _oracle_neighbors(part.owner, n)
 
 
+# the benchmark's paper-scale start positions on its 960x540 grid
+_PAPER_START = [[297.6, 151.2], [652.8, 178.2], [326.4, 383.4], [633.6, 372.6]]
+
+
 def _full_sweep(positions, domain, block_pixels=_PARTITION_BLOCK_PIXELS):
     """Every agent over every row block, with cells and neighbors from full-grid scans.
 
@@ -268,12 +274,16 @@ def _assert_matches_full_sweep(pos, domain, block_pixels=_PARTITION_BLOCK_PIXELS
 
 
 def _layouts(rng, domain, n):
-    """Random, grid-aligned (exact ties) and coincident positions of n agents."""
+    """Random, grid-aligned (exact ties), coincident and column-stacked positions of n agents.
+
+    Agents stacked in one column own whole rows, so row blocks can sweep a single agent.
+    """
     w, h, s = domain.world_width, domain.world_height, domain.cell_size
     grid = rng.integers(0, [2 * domain.width + 1, 2 * domain.height + 1], size=(n, 2)) * 0.5 * s
     spots = rng.uniform([0, 0], [w, h], size=(max(1, n // 3), 2))
+    column = np.column_stack([np.full(n, rng.uniform(0, w)), rng.uniform(0, h, size=n)])
     return [rng.uniform([0, 0], [w, h], size=(n, 2)), np.minimum(grid, [w, h]),
-            spots[rng.integers(0, len(spots), size=n)]]
+            spots[rng.integers(0, len(spots), size=n)], column]
 
 
 def test_pruned_sweep_matches_the_full_sweep_where_blocks_skip_agents(monkeypatch):
@@ -288,12 +298,11 @@ def test_pruned_sweep_matches_the_full_sweep_where_blocks_skip_agents(monkeypatc
     monkeypatch.setattr(geometry, "_live_agents", counted)
     rng = np.random.default_rng(3)
     paper = Domain(960, 540)
-    start = [[297.6, 151.2], [652.8, 178.2], [326.4, 383.4], [633.6, 372.6]]
-    for pos in [start, *_layouts(rng, paper, 4), *_layouts(rng, paper, 13)]:
+    for pos in [_PAPER_START, *_layouts(rng, paper, 4), *_layouts(rng, paper, 13)]:
         _assert_matches_full_sweep(pos, paper)
     # the paper start sweeps 37 of its 64 agent-blocks
     live_counts.clear()
-    compute_partition(start, paper)
+    compute_partition(_PAPER_START, paper)
     assert sum(live for live, _ in live_counts) == 37 and len(live_counts) == 16
     # a desk-sized grid in blocks of 960 pixels (4 rows each)
     monkeypatch.setattr(geometry, "_PARTITION_BLOCK_PIXELS", 960)
@@ -348,3 +357,30 @@ def test_neighbor_graph_is_built_on_first_read_and_matches_the_oracle():
             assert part.neighbors == oracle
             # built once: later reads return the same objects
             assert part.neighbors is part.neighbors and part.laplacian is part.laplacian
+
+
+@pytest.mark.parametrize("block_pixels", [_PARTITION_BLOCK_PIXELS, 40])
+def test_run_starts_mark_every_owner_change_in_flat_order(monkeypatch, block_pixels):
+    monkeypatch.setattr(geometry, "_PARTITION_BLOCK_PIXELS", block_pixels)
+    small = Domain(30, 19)
+    rng = np.random.default_rng(11)
+    cases = [(Domain(960, 540), _PAPER_START)]
+    cases += [(small, pos) for n in (1, 2, 4, 9) for pos in _layouts(rng, small, n)]
+    for domain, pos in cases:
+        part = compute_partition(pos, domain)
+        flat, run_start = part.owner.ravel(), part.run_start
+        assert run_start[0] == 0 and np.all(np.diff(run_start) > 0)
+        changes = np.flatnonzero(flat[1:] != flat[:-1]) + 1
+        assert np.isin(changes, run_start).all()
+        # a run starts only where the owner changes or at a row start
+        row_starts = np.arange(0, flat.size, domain.width)
+        assert np.isin(run_start, np.concatenate([changes, row_starts])).all()
+
+
+@pytest.mark.parametrize("height,width", [(3, 3), (2, 4), (4, 2)])
+def test_run_starts_alone_find_every_pair_on_any_three_owner_grid(height, width):
+    # every owner grid, Voronoi or not, with only its owner changes as run starts
+    for labels in itertools.product(range(3), repeat=height * width):
+        owner = np.array(labels, dtype=np.intp).reshape(height, width)
+        run_start = np.flatnonzero(np.diff(owner.ravel(), prepend=-1))
+        assert geometry._adjacent_pairs(owner, run_start, 3) == _oracle_neighbors(owner, 3), owner
