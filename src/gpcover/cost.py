@@ -148,28 +148,34 @@ def variance_cost(cell: CellPixels, agent_pos, gp: SparseGP,
     return std, -(diff * (weights * cgw)[:, None]).sum(axis=0) / (2.0 * std)
 
 
-def mass_centroid(cell: CellPixels, values) -> tuple[float, np.ndarray]:
-    """Estimated cell mass and centroid from per-pixel density values.
+def mass_centroid(partition: VoronoiPartition,
+                  field: DensityField) -> tuple[np.ndarray, np.ndarray]:
+    """Every cell's mass and centroid under ``field``, summed over the owner runs.
 
-    ``values`` holds one density value per pixel of ``cell.index``. The
-    first moments are per-axis products summed in sequence, which gives the
-    bits of ``(cell.centers * vw[:, None]).sum(axis=0)`` without building
-    either ``(k, 2)`` table. When the mass is numerically zero the centroid
-    falls back to the cell's geometric center.
+    One ``np.add.reduceat`` over ``partition.run_start`` sums ``field.values``
+    per run, and one sums ``field.x_weighted``, the density times x, which
+    the field builds once. Each run lies in one row, so its y moment is its
+    row's centre times its sum. ``np.bincount`` over the run owners folds the
+    runs into agents. ``pixel_area`` cancels in the centroid and stays out of
+    the sums, so they stay finite wherever the density's do; the returned
+    masses carry it. A cell whose mass is below ``_MASS_FLOOR`` falls back to
+    its geometric centre, the one case that cuts cells. An empty cell has mass
+    0 and a NaN centroid. Returns the masses ``(n,)`` and the centroids
+    ``(n, 2)``.
     """
-    vals = np.asarray(values, dtype=float).reshape(-1)
-    if len(vals) != len(cell):
-        raise ValueError(f"expected {len(cell)} values, got {len(vals)}")
-    vw = vals * cell.pixel_area
-    mass = float(vw.sum())
-    if mass < _MASS_FLOOR:
-        return mass, np.array(cell.geometric_center, dtype=float)
-    ix, iy = cell.grid_index
-    xs, ys = cell.domain.axis_centers()
-    # cumsum adds in index order, as the column sums of a (k, 2) table do;
-    # a pairwise sum() would round differently
-    moments = [np.cumsum(axis.take(i) * vw)[-1] for axis, i in ((xs, ix), (ys, iy))]
-    return mass, np.array(moments) / mass
+    domain, n, run_start = field.domain, partition.n_agents, partition.run_start
+    run_owner = partition.owner.ravel()[run_start]
+    run_mass = np.add.reduceat(field.values.ravel(), run_start)
+    run_x = np.add.reduceat(field.x_weighted.ravel(), run_start)
+    run_y = domain.axis_centers()[1][run_start // domain.width] * run_mass
+    mass, mx, my = (np.bincount(run_owner, w, minlength=n) for w in (run_mass, run_x, run_y))
+    area_mass = mass * domain.pixel_area
+    heavy = area_mass >= _MASS_FLOOR
+    centroid = np.full((n, 2), np.nan)
+    centroid[heavy] = np.column_stack([mx[heavy], my[heavy]]) / mass[heavy, None]
+    for i in np.flatnonzero(~heavy & (np.bincount(run_owner, minlength=n) > 0)):
+        centroid[i] = CellPixels(partition.cells[i], domain).geometric_center
+    return area_mass, centroid
 
 
 def cell_cost_report(cell: CellPixels, agent_pos, gp: SparseGP,

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 from math import floor, isfinite
 
 import numpy as np
@@ -119,6 +120,11 @@ class DensityField:
     @property
     def max_value(self) -> float:
         return float(self.values.max())
+
+    @cached_property
+    def x_weighted(self) -> np.ndarray:
+        """The density times each pixel centre's x, built on first read: Lloyd's x moment."""
+        return self.values * self.domain.axis_centers()[0]
 
     @classmethod
     def from_mixture(cls, domain: Domain, mixture: GaussianMixture) -> "DensityField":

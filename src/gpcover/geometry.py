@@ -20,7 +20,10 @@ is strictly closer in the very sums the sweep compares, and the minimum, the
 owner and every tie come out as in a sweep over all agents. The margin sits
 many orders of magnitude above rounding and only makes skipping rarer; it is
 infinite, so that nothing is skipped, wherever a distance sum could overflow.
-The neighbor graph is built on its first read, from the owner runs of the cut.
+The sweep keeps the owner runs: stretches of one owner in flat row-major order,
+split at every row end, so each run lies in one row. The cells and the neighbor
+graph are built from the runs on their first read, and per-cell sums such as
+Lloyd's moments (:func:`gpcover.cost.mass_centroid`) reduce over the runs.
 """
 
 from __future__ import annotations
@@ -95,22 +98,28 @@ class VoronoiPartition:
 
     ``owner`` is ``(H, W)`` with the winning agent index per pixel and
     ``dist2`` is ``(H, W)`` with each pixel centre's squared distance to its
-    owner, ``(x - px)^2 + (y - py)^2``. ``cells[i]`` holds agent i's pixels
-    as sorted flat row-major indices. ``run_start`` holds, increasing, the flat
-    index of the first pixel of each run of one owner in flat order.
-    ``neighbors[i]`` is a sorted tuple of adjacent agent indices and
-    ``laplacian`` is the integer graph Laplacian ``D - A`` of that relation;
-    both are built from the runs on first read.
+    owner, ``(x - px)^2 + (y - py)^2``. ``run_start`` holds, increasing, the
+    flat index of the first pixel of each run of one owner in flat row-major
+    order; every row starts a run, so each run lies in one row. ``n_agents``
+    counts the agents, owners of a pixel or not. ``cells[i]`` holds agent i's
+    pixels as sorted flat row-major indices. ``neighbors[i]`` is a sorted
+    tuple of adjacent agent indices and ``laplacian`` is the integer graph
+    Laplacian ``D - A`` of that relation. Cells and graph are built from the
+    runs on first read.
     """
 
     owner: np.ndarray
     dist2: np.ndarray
-    cells: tuple[np.ndarray, ...]
     run_start: np.ndarray
+    n_agents: int
+
+    @cached_property
+    def cells(self) -> tuple[np.ndarray, ...]:
+        return _cut_cells(self.owner.ravel(), self.run_start, self.n_agents)
 
     @cached_property
     def neighbors(self) -> tuple[tuple[int, ...], ...]:
-        return _adjacent_pairs(self.owner, self.run_start, len(self.cells))
+        return _adjacent_pairs(self.owner, self.run_start, self.n_agents)
 
     @cached_property
     def laplacian(self) -> np.ndarray:
@@ -178,8 +187,9 @@ def compute_partition(positions, domain: Domain) -> VoronoiPartition:
     agent is then strictly farther than some other agent at every pixel of the
     block, so each pixel gets the same minimum, owner and tie as in one
     full-grid pass over every agent, whatever the block size (see the module
-    docstring). Each cell is cut from the blocks its agent was swept in. The
-    neighbor graph is left to the partition's first read of it.
+    docstring). The runs of one owner are found only in blocks that swept more
+    than one agent; elsewhere each row is one run. The cells and the neighbor
+    graph are left to the partition's first read of them.
     Raises ``OutsideDomainError`` if any position falls outside the
     workspace rectangle.
     """
@@ -199,8 +209,14 @@ def compute_partition(positions, domain: Domain) -> VoronoiPartition:
     # skipped, when a distance sum could overflow
     margin = 1e-9 * (dx2.max() + dy2.max())
     height, width = domain.height, domain.width
-    best = np.empty((height, width))
-    owner = np.empty(best.shape, dtype=np.intp)
+    # best and owner share one allocation: glibc hands free heap top back to
+    # the system once it exceeds twice the largest block it has unmapped, and
+    # two 4 MB blocks per paper-scale partition crossed that line every round,
+    # then page-faulted back in; one block of both moves the line above them
+    pixels = height * width
+    grid = np.empty(pixels * (8 + np.dtype(np.intp).itemsize), dtype=np.uint8)
+    best = grid[:8 * pixels].view(np.float64).reshape(height, width)
+    owner = grid[8 * pixels:].view(np.intp).reshape(height, width)
     rows = max(1, min(height, _PARTITION_BLOCK_PIXELS // width))
     d2_buf = np.empty((rows, width))
     closer_buf = np.empty(d2_buf.shape, dtype=bool)
@@ -218,8 +234,8 @@ def compute_partition(positions, domain: Domain) -> VoronoiPartition:
             np.less(d2, best_rows, out=closer)
             np.minimum(best_rows, d2, out=best_rows)
             np.copyto(owner_rows, i, where=closer)
-        blocks.append((r0 * width, r1 * width, live))
-    return VoronoiPartition(owner, best, *_cut_cells(owner.ravel(), blocks, len(pos)))
+        blocks.append((r0, r1, live))
+    return VoronoiPartition(owner, best, _run_starts(owner, blocks), len(pos))
 
 
 def _live_agents(dx2: np.ndarray, dy2: np.ndarray, margin: float) -> list[int]:
@@ -236,24 +252,30 @@ def _live_agents(dx2: np.ndarray, dy2: np.ndarray, margin: float) -> list[int]:
     return np.flatnonzero(~skip).tolist()
 
 
-def _cut_cells(flat_owner: np.ndarray, blocks, n: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """Each agent's sorted flat pixel indices, cut from the blocks it was swept in.
+def _run_starts(owner: np.ndarray, blocks) -> np.ndarray:
+    """The flat starts of the owner runs, increasing, from the row blocks of the sweep.
 
-    ``blocks`` holds ``(start, stop, live)``: a block's flat pixel range and
-    its swept agents. The grid splits into runs of one owner in flat order: a
-    block swept by one agent is one run, and the others split where ``owner``
-    changes. Each agent's runs, in flat order, expand into its cell. Returns
-    the cells and the runs' start indices, in flat order.
+    ``blocks`` holds ``(r0, r1, live)``: a block's rows and its swept agents.
+    A run starts at every row start and wherever ``owner`` changes within a
+    row; a block swept by one agent has no change, so only its rows start runs.
     """
+    width = owner.shape[1]
     starts = []
-    for start, stop, live in blocks:
-        starts.append(np.array([start], dtype=np.intp))
+    for r0, r1, live in blocks:
         if len(live) > 1:
-            block = flat_owner[start:stop]
-            change = np.flatnonzero(block[1:] != block[:-1])
-            change += start + 1
-            starts.append(change)
-    run_start = np.concatenate(starts)
+            # flat compares run at twice the speed of row-wise ones
+            block = owner[r0:r1].ravel()
+            change = np.empty(block.size, dtype=bool)
+            np.not_equal(block[1:], block[:-1], out=change[1:])
+            change[::width] = True
+            starts.append(np.flatnonzero(change) + r0 * width)
+        else:
+            starts.append(np.arange(r0 * width, r1 * width, width))
+    return np.concatenate(starts)
+
+
+def _cut_cells(flat_owner: np.ndarray, run_start: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
+    """Each agent's sorted flat pixel indices, expanded from its runs in flat order."""
     run_length = np.diff(run_start, append=len(flat_owner))
     run_owner = flat_owner[run_start]
     order = np.argsort(run_owner, kind="stable")  # each agent's runs stay in flat order
@@ -269,7 +291,7 @@ def _cut_cells(flat_owner: np.ndarray, blocks, n: int) -> tuple[tuple[np.ndarray
             chunk += ramp[:len(chunk)]
             ramp += len(ramp)
         cells.append(cell)
-    return tuple(cells), run_start
+    return tuple(cells)
 
 
 def _adjacent_pairs(owner: np.ndarray, run_start: np.ndarray,
@@ -277,10 +299,8 @@ def _adjacent_pairs(owner: np.ndarray, run_start: np.ndarray,
     # Compare each run start with its left, upper and lower pixel (off the
     # grid: itself). Owners side by side differ at a run start. For a above b
     # in rows r and r + 1, walk left while that holds: the walk ends at a run
-    # start in either row, or at the rows' first pixels. If neither starts a
-    # run, the flat predecessors hold a and b: a sits above b in the last
-    # column of rows r - 1 and r, and that stretch ends at a run start before
-    # column 0, where row r holds a. So every meeting pair is found.
+    # start in either row, at the latest at the rows' first pixels, which
+    # start runs. So every meeting pair is found.
     width, flat = owner.shape[1], owner.ravel()
     column = run_start % width
     near = np.stack([run_start - (column > 0), np.maximum(run_start - width, column),

@@ -360,15 +360,13 @@ def run_lloyd_baseline(config: SimConfig) -> SimTrace:
     config.validate()
     domain = config.domain()
     field = build_scenario(config.scenario, domain, config.scenario_params)
-    flat_values = field.values.ravel()
 
     def advance(t, positions, partition):
         new_positions = positions.copy()
-        for i in range(len(positions)):
-            cell = cell_pixels(partition, i, domain)
-            if len(cell) == 0:
-                continue
-            _, centroid = mass_centroid(cell, flat_values[partition.cells[i]])
+        _, centroids = mass_centroid(partition, field)
+        for i, centroid in enumerate(centroids):
+            if np.isnan(centroid[0]):
+                continue  # an empty cell leaves its agent in place
             disp = config.lloyd_gamma * (centroid - positions[i])
             new_positions[i] = _capped_move(positions[i], disp, config.v_max, domain)
         return new_positions, np.nan, 0, 0

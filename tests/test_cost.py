@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
-from gpcover import (CellPixels, Domain, Hyperparams, QuadratureSpec, SparseGP, cell_cost_report,
-                     cell_pixels, compute_partition, expected_cost, kernel_matrix,
-                     mass_centroid, posterior_mean, true_locational_cost, variance_cost)
+from gpcover import (CellPixels, Domain, Hyperparams, QuadratureSpec, SimConfig, SparseGP,
+                     cell_cost_report, cell_pixels, compute_partition, expected_cost,
+                     kernel_matrix, mass_centroid, posterior_mean, run_lloyd_baseline,
+                     true_locational_cost, variance_cost)
+from gpcover import geometry
 from gpcover.density import DensityField, GaussianBlob, GaussianMixture
 from gpcover.cost import _pair_nodes, _weighted_pixels
 from gpcover.gp import _SERIAL_GEMM_MACS, _axis_factor
@@ -292,45 +296,78 @@ def test_adding_an_observation_never_increases_the_std():
     assert std_after <= std_before + 1e-9
 
 
+def _whole_grid_field(values, width, height, cell_size=1.0):
+    domain = Domain(width, height, cell_size)
+    part = compute_partition([[domain.world_width / 2, domain.world_height / 2]], domain)
+    return part, DensityField(domain, np.asarray(values, dtype=float).reshape(height, width))
+
+
 def test_mass_centroid_of_constant_values():
-    domain, cell = _whole_grid_cell(5, 3)
-    mass, centroid = mass_centroid(cell, np.full(15, 2.0))
-    assert mass == pytest.approx(30.0, rel=1e-12)
-    np.testing.assert_allclose(centroid, [2.5, 1.5])
+    part, field = _whole_grid_field(np.full(15, 2.0), 5, 3)
+    mass, centroid = mass_centroid(part, field)
+    assert mass == pytest.approx([30.0], rel=1e-12)
+    np.testing.assert_allclose(centroid, [[2.5, 1.5]])
 
 
 def test_mass_centroid_zero_mass_falls_back_to_geometric_center():
-    domain, cell = _whole_grid_cell(5, 3)
-    mass, centroid = mass_centroid(cell, np.zeros(15))
-    assert mass == 0.0
-    np.testing.assert_allclose(centroid, cell.geometric_center)
+    part, field = _whole_grid_field(np.zeros(15), 5, 3)
+    mass, centroid = mass_centroid(part, field)
+    assert mass.tolist() == [0.0]
+    np.testing.assert_allclose(centroid, [cell_pixels(part, 0, field.domain).geometric_center])
 
 
 def test_mass_centroid_weights_toward_heavy_side():
-    domain, cell = _whole_grid_cell(4, 1)
-    values = np.array([0.0, 0.0, 0.0, 3.0])
-    mass, centroid = mass_centroid(cell, values)
-    assert mass == pytest.approx(3.0)
-    np.testing.assert_allclose(centroid, [3.5, 0.5])
+    part, field = _whole_grid_field([0.0, 0.0, 0.0, 3.0], 4, 1)
+    mass, centroid = mass_centroid(part, field)
+    assert mass == pytest.approx([3.0])
+    np.testing.assert_allclose(centroid, [[3.5, 0.5]])
 
 
-def test_mass_centroid_is_bit_identical_to_the_centers_table():
-    # per-axis moments summed in sequence give the (k, 2) table's column sums
+def test_mass_centroid_matches_exact_sums_over_each_cell(monkeypatch):
+    # the run sums against math.fsum over every pixel of every cell
     rng = np.random.default_rng(23)
-    cells = []
-    for domain in (Domain(240, 135), Domain(37, 23, cell_size=0.5)):
+    parts = []
+    for domain in (Domain(240, 135), Domain(37, 23, cell_size=0.5), Domain(40, 23, 1e-3),
+                   Domain(40, 23, 1e3)):
         pos = rng.uniform([0, 0], [domain.world_width, domain.world_height], size=(3, 2))
-        part = compute_partition(pos, domain)
-        cells += [cell_pixels(part, i, domain) for i in range(3)]
-    one_pixel = Domain(1, 1, cell_size=0.5)
-    cells.append(cell_pixels(compute_partition([[0.2, 0.3]], one_pixel), 0, one_pixel))
-    cells.append(_whole_grid_cell(97, 1, cell_size=0.5)[1])
-    for cell in cells:
-        values = rng.uniform(0.0, 3.0, size=len(cell))
-        vw = values * cell.pixel_area
-        mass, centroid = mass_centroid(cell, values)
-        assert mass == float(vw.sum())
-        assert np.array_equal(centroid, (cell.centers * vw[:, None]).sum(axis=0) / mass)
+        parts.append((domain, compute_partition(pos, domain)))
+    one_pixel, strip = Domain(1, 1, cell_size=0.5), Domain(97, 1, cell_size=0.5)
+    parts += [(one_pixel, compute_partition([[0.2, 0.3]], one_pixel)),
+              (strip, compute_partition([[24.0, 0.25]], strip))]
+    # agents stacked in one column own whole rows: in blocks of 960 pixels (4
+    # rows) most blocks sweep one agent, and each row of such a block is a run
+    monkeypatch.setattr(geometry, "_PARTITION_BLOCK_PIXELS", 960)
+    desk = Domain(240, 135)
+    stacked = compute_partition(
+        np.column_stack([np.full(5, 101.3), rng.uniform(0, 135, size=5)]), desk)
+    assert np.array_equal(stacked.run_start, np.arange(0, desk.n_pixels, desk.width))
+    parts.append((desk, stacked))
+    for domain, part in parts:
+        field = DensityField(domain, rng.uniform(0.0, 3.0, size=(domain.height, domain.width)))
+        mass, centroid = mass_centroid(part, field)
+        xs, ys = domain.axis_centers()
+        for i, index in enumerate(part.cells):
+            iy, ix = np.divmod(index, domain.width)
+            vals = field.values.ravel()[index]
+            exact = math.fsum(vals)
+            assert mass[i] == pytest.approx(exact * domain.pixel_area, rel=1e-12, abs=0)
+            want = [math.fsum(xs[ix] * vals) / exact, math.fsum(ys[iy] * vals) / exact]
+            np.testing.assert_allclose(centroid[i], want, rtol=1e-12, atol=0)
+
+
+def test_mass_centroid_of_a_coincident_agent_is_empty_and_lloyd_leaves_it():
+    domain = Domain(30, 20)
+    pos = [[7.3, 5.1], [21.0, 14.2], [7.3, 5.1]]
+    part = compute_partition(pos, domain)
+    field = DensityField(domain, np.ones((20, 30)))
+    mass, centroid = mass_centroid(part, field)
+    assert mass[2] == 0.0 and np.isnan(centroid[2]).all()
+    assert mass[:2].sum() == pytest.approx(600.0) and np.isfinite(centroid[:2]).all()
+    config = SimConfig(width=30, height=20, n_agents=3, rounds=1, scenario="uniform",
+                       init_mode="explicit", explicit_positions=pos)
+    trace = run_lloyd_baseline(config)
+    np.testing.assert_array_equal(trace.positions[0, 2], pos[2])
+    assert not np.array_equal(trace.positions[0, 0], pos[0])
 
 
 def test_report_recomposes_exactly():

@@ -329,20 +329,22 @@ def test_pruned_sweep_matches_the_full_sweep_on_small_and_scaled_grids(
 
 
 def test_lloyd_baseline_never_builds_the_neighbor_graph(monkeypatch):
-    calls = []
-    adjacent_pairs = geometry._adjacent_pairs
+    calls = {"_adjacent_pairs": [], "_cut_cells": []}
+    for name, log in calls.items():
+        def spy(*args, _original=getattr(geometry, name), _log=log):
+            _log.append(args)
+            return _original(*args)
 
-    def spy(*args):
-        calls.append(args)
-        return adjacent_pairs(*args)
-
-    monkeypatch.setattr(geometry, "_adjacent_pairs", spy)
-    config = SimConfig(width=48, height=27, n_agents=3, rounds=3, seed=2)
+        monkeypatch.setattr(geometry, name, spy)
+    # hotspots' background of 20 gives every cell mass, so Lloyd never falls
+    # back to a cell's geometric centre and never cuts the cells either
+    config = SimConfig(width=48, height=27, n_agents=3, rounds=3, seed=2, scenario="hotspots")
     run_lloyd_baseline(config)
-    assert calls == []
-    # the method reads the graph every round, through the same function
+    assert calls == {"_adjacent_pairs": [], "_cut_cells": []}
+    # the method reads the graph and the cells every round, through the same
+    # functions, but never those of the partition after its last move
     run(config)
-    assert len(calls) == config.rounds
+    assert len(calls["_adjacent_pairs"]) == len(calls["_cut_cells"]) == config.rounds
 
 
 def test_neighbor_graph_is_built_on_first_read_and_matches_the_oracle():
@@ -351,7 +353,7 @@ def test_neighbor_graph_is_built_on_first_read_and_matches_the_oracle():
     for n in (1, 2, 4, 9):
         for pos in _layouts(rng, domain, n):
             part = compute_partition(pos, domain)
-            assert "neighbors" not in vars(part) and "laplacian" not in vars(part)
+            assert not {"cells", "neighbors", "laplacian"} & set(vars(part))
             oracle = _oracle_neighbors(part.owner, n)
             np.testing.assert_array_equal(part.laplacian, laplacian_of(oracle))
             assert part.neighbors == oracle
@@ -368,13 +370,13 @@ def test_run_starts_mark_every_owner_change_in_flat_order(monkeypatch, block_pix
     cases += [(small, pos) for n in (1, 2, 4, 9) for pos in _layouts(rng, small, n)]
     for domain, pos in cases:
         part = compute_partition(pos, domain)
-        flat, run_start = part.owner.ravel(), part.run_start
-        assert run_start[0] == 0 and np.all(np.diff(run_start) > 0)
+        flat = part.owner.ravel()
         changes = np.flatnonzero(flat[1:] != flat[:-1]) + 1
-        assert np.isin(changes, run_start).all()
-        # a run starts only where the owner changes or at a row start
+        # runs start, in increasing order, exactly where the owner changes and
+        # at every row start, row 0's included
         row_starts = np.arange(0, flat.size, domain.width)
-        assert np.isin(run_start, np.concatenate([changes, row_starts])).all()
+        assert part.run_start.dtype == np.intp
+        np.testing.assert_array_equal(part.run_start, np.union1d(changes, row_starts))
 
 
 @pytest.mark.parametrize("height,width", [(3, 3), (2, 4), (4, 2)])

@@ -14,9 +14,9 @@ import pytest
 import gpcover.sim as sim
 from gpcover import (AccessAudit, AgentState, ConfigurationError, DecentralizationError,
                      Domain, Hyperparams, OptimizerState, SimConfig,
-                     SparseGP, bilinear, build_scenario, compute_partition,
-                     initial_positions, posterior_mean, run, run_lloyd_baseline,
-                     sample_density)
+                     SparseGP, bilinear, build_scenario, cell_pixels, compute_partition,
+                     initial_positions, mass_centroid, posterior_mean, run,
+                     run_lloyd_baseline, sample_density)
 from gpcover.density import DensityField
 
 TINY = SimConfig(width=24, height=14, scenario="four_gaussians", n_agents=3, seed=5,
@@ -336,6 +336,26 @@ def test_lloyd_run_reproduces_its_recorded_numbers():
     ], rtol=1e-9)
     assert np.array_equal(trace.initial_positions, initial_positions(config, config.domain()))
     assert not trace.inducing_counts.any()
+
+
+@pytest.mark.parametrize("exponent", [102, 130, 150])
+def test_lloyd_runs_at_huge_cell_sizes(exponent):
+    # the moments leave pixel_area out: x * pixel_area * density would overflow
+    # to inf / inf = nan here, and the centroid step would leave the workspace
+    config = SimConfig(width=48, height=27, n_agents=2, rounds=2, scenario="uniform",
+                       cell_size=10.0 ** exponent)
+    with np.errstate(over="ignore"):  # the true cost itself overflows (ROADMAP item 8)
+        trace = run_lloyd_baseline(config)
+    domain = config.domain()
+    assert np.isfinite(trace.positions).all()
+    assert all(domain.contains(p) for p in trace.positions.reshape(-1, 2))
+    # on a uniform density each centroid is its cell's geometric centre
+    part = compute_partition(trace.initial_positions, domain)
+    field = build_scenario("uniform", domain)
+    _, centroids = mass_centroid(part, field)
+    for i, centroid in enumerate(centroids):
+        np.testing.assert_allclose(centroid, cell_pixels(part, i, domain).geometric_center,
+                                   rtol=1e-12)
 
 
 def test_config_validation_rejects_bad_values():

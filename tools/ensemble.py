@@ -1,17 +1,21 @@
-"""Seed ensemble of the desk config: the method against Lloyd over many seeds.
+"""Seed ensemble of one config: the method against Lloyd over many seeds.
 
     python3 tools/ensemble.py                          # seeds 1-20, 500 rounds
     python3 tools/ensemble.py --null                   # lengthscale0 up by 1 ulp
     python3 tools/ensemble.py --null noise_sigma- --json out.json
+    python3 tools/ensemble.py --workload paper --scenario single_peak --rounds 150
 
-Runs ``workloads.DESK`` (acceptance 6's config, uniform start) for the method
-and for the Lloyd baseline on every seed and prints each seed's final
+Runs ``workloads.DESK`` (acceptance 6's config, uniform start), or with
+``--workload`` the mapping of that benchmark workload (``perfbench/workloads.py``,
+its start included), optionally on another ``--scenario``, for the method and
+for the Lloyd baseline on every seed. It prints each seed's final
 ``true_cost``, the method's median and the ratio of that median to Lloyd's,
 each with a bootstrap interval (seeds resampled in pairs). The final cost is
 chaotic at rounding level, so a change that is not bit-identical is judged on
 this ensemble against the parent's, with ``--null`` showing the spread that a
 1-ulp change of one input causes on its own; the six moves of ``NULLS`` together
-give a null distribution of the method's median. The library is imported from
+give a null distribution of the method's median. A move of an input that the
+config derives (left at ``None``) is refused. The library is imported from
 ``src/`` next to this directory.
 """
 
@@ -36,7 +40,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import numpy as np  # noqa: E402
 
 from gpcover import config_from_dict, run, run_lloyd_baseline  # noqa: E402
-from workloads import DESK  # noqa: E402
+from workloads import DESK, WORKLOADS  # noqa: E402
 
 SEEDS = range(1, 21)
 ROUNDS = 500
@@ -48,12 +52,24 @@ NULLS = {f"{field}{sign}": (field, direction)
          for sign, direction in (("+", math.inf), ("-", -math.inf))}
 
 
-def final_costs(seed: int, null: str | None) -> tuple[float, float]:
+def base_mapping(workload: str | None, scenario: str | None) -> dict:
+    """The desk config, or a benchmark workload's mapping, on ``scenario`` if given."""
+    mapping = dict(DESK if workload is None else WORKLOADS[workload].mapping)
+    if scenario is not None:
+        mapping["scenario"] = scenario
+    return mapping
+
+
+def final_costs(base: dict, seed: int, null: str | None,
+                rounds: int = ROUNDS) -> tuple[float, float]:
     """Final ``true_cost`` of the method and of Lloyd on one seed."""
-    mapping = dict(DESK, seed=seed, rounds=ROUNDS)
+    mapping = dict(base, seed=seed, rounds=rounds)
     if null:
         field, direction = NULLS[null]
-        mapping[field] = math.nextafter(DESK[field], direction)
+        value = getattr(config_from_dict(mapping), field)
+        if value is None:
+            raise SystemExit(f"{field} is derived in this config; there is no input to move")
+        mapping[field] = math.nextafter(value, direction)
     config = config_from_dict(mapping)
     return float(run(config).true_cost[-1]), float(run_lloyd_baseline(config).true_cost[-1])
 
@@ -75,14 +91,19 @@ def main(argv=None) -> int:
     parser.add_argument("--null", nargs="?", const="lengthscale0+", choices=sorted(NULLS),
                         help="move one input by 1 ulp (default lengthscale0+) to show the "
                              "spread that rounding alone causes")
+    parser.add_argument("--workload", choices=sorted(WORKLOADS),
+                        help="run this benchmark workload's mapping instead of the desk config")
+    parser.add_argument("--scenario", help="density scenario to run instead of the config's")
+    parser.add_argument("--rounds", type=int, default=ROUNDS, help="rounds per run")
     parser.add_argument("--json", type=Path, help="also write the results to this file")
     args = parser.parse_args(argv)
 
+    base = base_mapping(args.workload, args.scenario)
     method, lloyd = [], []
     print(f"{'seed':>4} {'method':>12} {'lloyd':>12} {'s':>6}", flush=True)
     for seed in SEEDS:
         t0 = time.perf_counter()
-        m, ll = final_costs(seed, args.null)
+        m, ll = final_costs(base, seed, args.null, args.rounds)
         method.append(m)
         lloyd.append(ll)
         print(f"{seed:>4} {m:>12.1f} {ll:>12.1f} {time.perf_counter() - t0:>6.1f}", flush=True)
@@ -96,7 +117,8 @@ def main(argv=None) -> int:
           f"[{ratio_interval[0]:.3f}, {ratio_interval[1]:.3f}])")
     if args.json:
         args.json.write_text(json.dumps({
-            "seeds": list(SEEDS), "rounds": ROUNDS, "null": args.null,
+            "workload": args.workload, "scenario": args.scenario,
+            "seeds": list(SEEDS), "rounds": args.rounds, "null": args.null,
             "method": method, "lloyd": lloyd, "ratio": ratio,
             "median_interval": median_interval, "ratio_interval": ratio_interval,
         }, indent=1) + "\n")

@@ -9,12 +9,14 @@ digits of each trace CSV's sha256: the method's, then the method's path
 digest (the same CSV with its ``rmse`` column dropped), then Lloyd's. A
 change that moves only the rmse metric keeps every path digest. Before a
 workload's seeds it prints the same prefix of its rasterized density's bytes
-(``build_scenario(...).values.tobytes()``), and after them the prefix of a
-digest of the partitions at every position of seed 1's Lloyd trace, its
-start included: each partition's ``owner`` and ``dist2`` bytes, every cell's
-bytes and the neighbor lists. A change meant to be byte-identical prints the
-same lines as its parent. The library is imported from ``src/`` next to this
-directory.
+(``build_scenario(...).values.tobytes()``), and after them the prefixes of
+two digests of partitions: at every position of seed 1's Lloyd trace and at
+every position of seed 1's method trace, each start included. Each digest
+covers every partition's ``owner`` and ``dist2`` bytes, every cell's bytes and
+the neighbor lists. A change meant to be byte-identical prints the same lines
+as its parent; a change to Lloyd's numerics alone moves the Lloyd digests, and
+the method-position partitions show that the partitions themselves did not
+change. The library is imported from ``src/`` next to this directory.
 """
 
 from __future__ import annotations
@@ -83,13 +85,13 @@ def main() -> int:
         print(f"{name} raster: {raster}", flush=True)
         for seed in SEEDS:
             cfg = config_from_dict(dict(workload.mapping, seed=seed, rounds=workload.rounds))
-            lloyd = run_lloyd_baseline(cfg)
+            lloyd, method = run_lloyd_baseline(cfg), run(cfg)
             if seed == SEEDS[0]:
-                partitions = partition_digest(cfg, lloyd)
-            method = csv_bytes(run(cfg))
-            print(f"{name} seed {seed}: method {_digest(method)} path "
-                  f"{_digest(path_bytes(method))} lloyd {_digest(csv_bytes(lloyd))}", flush=True)
-        print(f"{name} partitions: {partitions}", flush=True)
+                partitions = [partition_digest(cfg, trace) for trace in (lloyd, method)]
+            csv = csv_bytes(method)
+            print(f"{name} seed {seed}: method {_digest(csv)} path "
+                  f"{_digest(path_bytes(csv))} lloyd {_digest(csv_bytes(lloyd))}", flush=True)
+        print(f"{name} partitions: lloyd {partitions[0]} method {partitions[1]}", flush=True)
     return 0
 
 
