@@ -6,11 +6,11 @@ exploration term is the standard deviation of that same integral under the
 posterior covariance, weighted by ``sqrt(beta)``. All integrals are pixel
 sums with deterministic subsampling so repeated evaluation is bit-stable.
 
-Every node is a pixel centre, so a cell carries grid indices rather than
-coordinates. The expected term takes the posterior mean from
-:func:`gpcover.gp.grid_posterior_mean`, one bounding-box product per cell, and
-integrates with 1-D offsets per axis. The exploration term works on at most
-``pair_budget`` nodes and never forms their posterior covariance.
+Every node is a pixel centre, so a cell is its owner mask on its bounding box.
+The expected term takes one :func:`gpcover.gp.lattice_posterior_mean` product
+per cell and gathers it and the per-axis offsets with the mask, in row-major
+order, or at every ``single_stride``-th flat index. The exploration term works on
+at most ``pair_budget`` of those nodes and never forms their posterior covariance.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import DensityField
-from .geometry import CellPixels, VoronoiPartition
-from .gp import SparseGP, grid_posterior_mean, kernel_matrix
+from .geometry import CellPixels, VoronoiPartition, cell_pixels
+from .gp import SparseGP, kernel_matrix, lattice_posterior_mean
 # the dense path, kept importable here for callers that look it up by name
 from .gp import posterior_mean  # noqa: F401
 
@@ -70,46 +70,56 @@ class CellCostReport:
     grad_total: np.ndarray
 
 
-def _weighted_pixels(cell: CellPixels, idx) -> tuple[np.ndarray, np.ndarray, float]:
-    """Grid columns and rows of the cell's pixels at ``idx``, with the equal
-    share of the cell area that each one carries."""
+def _share(cell: CellPixels, n: int) -> float:
+    """The equal share of the cell area that each of ``n`` of its pixels carries."""
     k = len(cell)
-    ix, iy = (axis[idx] for axis in cell.grid_index)
-    weight = cell.pixel_area if len(ix) == k else k * cell.pixel_area / len(ix)
-    return ix, iy, weight
+    return cell.pixel_area if n == k else k * cell.pixel_area / n
+
+
+def _strided_terms(cell: CellPixels, stride: int, gp: SparseGP, px: float,
+                   py: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The posterior mean, ``x - px`` and ``y - py`` at every ``stride``-th pixel of
+    the cell, row-major. The mean is one lattice product on those pixels' own box,
+    whose extent sets its GEMM blocks and so its bits (``//`` beats ``np.divmod``)."""
+    bx, by = cell.axis_centers()
+    if stride == 1:
+        mask = cell.mask
+        return (lattice_posterior_mean(gp, bx, by)[mask.ravel()],
+                np.broadcast_to(bx - px, mask.shape)[mask],
+                np.broadcast_to((by - py)[:, None], mask.shape)[mask])
+    index = cell.flat[::stride]
+    iy = index // len(bx)
+    ix = index - iy * len(bx)
+    x0, x1 = int(ix.min()), int(ix.max()) + 1
+    mean = lattice_posterior_mean(gp, bx[x0:x1], by[:iy[-1] + 1])
+    return mean.take(iy * (x1 - x0) + ix - x0), (bx - px).take(ix), (by - py).take(iy)
 
 
 def _pair_nodes(cell: CellPixels, budget: int) -> tuple[np.ndarray, np.ndarray]:
     k = len(cell)
-    if k <= budget:
-        idx = slice(None)
-    else:
-        idx = np.unique(np.round(np.linspace(0, k - 1, budget)).astype(np.int64))
-    ix, iy, weight = _weighted_pixels(cell, idx)
-    xs, ys = cell.domain.axis_centers()
-    return np.column_stack([xs[ix], ys[iy]]), np.full(len(ix), weight)
+    index = cell.flat
+    if k > budget:
+        index = index[np.unique(np.round(np.linspace(0, k - 1, budget)).astype(np.int64))]
+    bx, by = cell.axis_centers()
+    iy, ix = np.divmod(index, cell.mask.shape[1])
+    return np.column_stack([bx[ix], by[iy]]), np.full(len(index), _share(cell, len(index)))
 
 
 def expected_cost(cell: CellPixels, agent_pos, gp: SparseGP,
                   quad: QuadratureSpec) -> tuple[float, np.ndarray]:
     """Expected coverage cost of the cell and its gradient in the agent position.
 
-    The posterior mean is evaluated on the grid of the cell's (strided)
-    pixels and clipped at zero before integrating, matching the
-    non-negativity of the underlying density. An empty cell costs nothing.
+    The posterior mean is evaluated on the lattice of the cell's (strided)
+    pixels' bounding box, gathered at those pixels and clipped at zero before
+    integrating, matching the non-negativity of the underlying density. An
+    empty cell costs nothing.
     """
     px, py = np.asarray(agent_pos, dtype=float).reshape(2)
     if len(cell) == 0:
         return 0.0, np.zeros(2)
-    ix, iy, weight = _weighted_pixels(cell, slice(None, None, quad.single_stride))
-    xs, ys = cell.domain.axis_centers()
-    mw = grid_posterior_mean(gp, xs, ys, ix, iy)
+    mw, dx, dy = _strided_terms(cell, quad.single_stride, gp, px, py)
     np.maximum(mw, 0.0, out=mw)
-    mw *= weight
-    dx = xs.take(ix)
-    dx -= px
-    dy = ys.take(iy)
-    dy -= py
+    mw *= _share(cell, len(mw))
     d2 = dx * dx
     d2 += dy * dy
     return 0.5 * float(d2 @ mw), -np.array([dx @ mw, dy @ mw])
@@ -159,7 +169,7 @@ def mass_centroid(partition: VoronoiPartition,
     runs into agents. ``pixel_area`` cancels in the centroid and stays out of
     the sums, so they stay finite wherever the density's do; the returned
     masses carry it. A cell whose mass is below ``_MASS_FLOOR`` falls back to
-    its geometric centre, the one case that cuts cells. An empty cell has mass
+    its geometric centre, the one case that builds cells. An empty cell has mass
     0 and a NaN centroid. Returns the masses ``(n,)`` and the centroids
     ``(n, 2)``.
     """
@@ -174,7 +184,7 @@ def mass_centroid(partition: VoronoiPartition,
     centroid = np.full((n, 2), np.nan)
     centroid[heavy] = np.column_stack([mx[heavy], my[heavy]]) / mass[heavy, None]
     for i in np.flatnonzero(~heavy & (np.bincount(run_owner, minlength=n) > 0)):
-        centroid[i] = CellPixels(partition.cells[i], domain).geometric_center
+        centroid[i] = cell_pixels(partition, i, domain).geometric_center
     return area_mass, centroid
 
 

@@ -21,9 +21,12 @@ owner and every tie come out as in a sweep over all agents. The margin sits
 many orders of magnitude above rounding and only makes skipping rarer; it is
 infinite, so that nothing is skipped, wherever a distance sum could overflow.
 The sweep keeps the owner runs: stretches of one owner in flat row-major order,
-split at every row end, so each run lies in one row. The cells and the neighbor
-graph are built from the runs on their first read, and per-cell sums such as
-Lloyd's moments (:func:`gpcover.cost.mass_centroid`) reduce over the runs.
+split at every row end, so each run lies in one row. Per-cell sums such as
+Lloyd's moments (:func:`gpcover.cost.mass_centroid`) reduce over the runs, and
+the neighbor graph and every agent's bounding box are built from them on their
+first read. A cell (:func:`cell_pixels`) is its owner mask on its bounding box:
+cost integrals evaluate per-axis products on the box and gather them with the
+mask, which keeps the pixels in row-major order.
 """
 
 from __future__ import annotations
@@ -101,11 +104,12 @@ class VoronoiPartition:
     owner, ``(x - px)^2 + (y - py)^2``. ``run_start`` holds, increasing, the
     flat index of the first pixel of each run of one owner in flat row-major
     order; every row starts a run, so each run lies in one row. ``n_agents``
-    counts the agents, owners of a pixel or not. ``cells[i]`` holds agent i's
-    pixels as sorted flat row-major indices. ``neighbors[i]`` is a sorted
-    tuple of adjacent agent indices and ``laplacian`` is the integer graph
-    Laplacian ``D - A`` of that relation. Cells and graph are built from the
-    runs on first read.
+    counts the agents, owners of a pixel or not. ``boxes[i]`` is agent i's
+    bounding box on the grid, ``(x0, y0, x1, y1)`` with exclusive ends, all 0
+    for an agent that owns no pixel. ``neighbors[i]`` is a sorted tuple of
+    adjacent agent indices and ``laplacian`` is the integer graph Laplacian
+    ``D - A`` of that relation. Boxes and graph are built from the runs on
+    first read.
     """
 
     owner: np.ndarray
@@ -114,8 +118,8 @@ class VoronoiPartition:
     n_agents: int
 
     @cached_property
-    def cells(self) -> tuple[np.ndarray, ...]:
-        return _cut_cells(self.owner.ravel(), self.run_start, self.n_agents)
+    def boxes(self) -> np.ndarray:
+        return _run_boxes(self.owner, self.run_start, self.n_agents)
 
     @cached_property
     def neighbors(self) -> tuple[tuple[int, ...], ...]:
@@ -132,40 +136,46 @@ class VoronoiPartition:
 
 @dataclass(frozen=True, eq=False)
 class CellPixels:
-    """The pixels of one Voronoi cell, as grid indices into their domain.
+    """The pixels of one Voronoi cell: its owner mask on its bounding box.
 
-    ``index`` holds the cell's sorted flat row-major pixel indices (pixel
-    ``(ix, iy)`` is ``iy * width + ix``), so cost integrals can evaluate on
-    the domain's axis centres; ``grid_index`` decodes them and ``centers``
-    is the derived ``(k, 2)`` array of pixel-centre coordinates.
+    ``mask`` is ``(rows, columns)`` over the grid pixels ``(x0 + c, y0 + r)``;
+    an empty cell has an empty box. ``flat`` holds the box-local row-major
+    indices of the pixels (``r * columns + c``), ``axis_centers`` the box's
+    pixel-centre coordinates per axis and ``centers`` the derived ``(k, 2)``
+    array of the pixels' centres, in row-major order.
     """
 
-    index: np.ndarray
+    mask: np.ndarray
+    x0: int
+    y0: int
     domain: Domain
 
     def __len__(self) -> int:
-        return len(self.index)
+        return len(self.flat)
 
     @property
     def pixel_area(self) -> float:
         return self.domain.pixel_area
 
     @cached_property
-    def grid_index(self) -> tuple[np.ndarray, np.ndarray]:
-        """Grid columns ``ix`` and rows ``iy`` of the pixels (``//`` beats ``np.divmod``)."""
-        iy = self.index // self.domain.width
-        ix = self.index - iy * self.domain.width
-        return ix, iy
+    def flat(self) -> np.ndarray:
+        return np.flatnonzero(self.mask)
+
+    def axis_centers(self) -> tuple[np.ndarray, np.ndarray]:
+        """Pixel-centre coordinates along each axis of the box: ``(x, y)``."""
+        xs, ys = self.domain.axis_centers()
+        rows, columns = self.mask.shape
+        return xs[self.x0:self.x0 + columns], ys[self.y0:self.y0 + rows]
 
     @cached_property
     def centers(self) -> np.ndarray:
-        xs, ys = self.domain.axis_centers()
-        ix, iy = self.grid_index
-        return np.column_stack([xs[ix], ys[iy]])
+        bx, by = self.axis_centers()
+        iy, ix = np.divmod(self.flat, self.mask.shape[1])
+        return np.column_stack([bx[ix], by[iy]])
 
     @property
     def geometric_center(self) -> np.ndarray:
-        if len(self.index) == 0:
+        if len(self) == 0:
             raise ValueError("empty cell has no geometric center")
         return self.centers.mean(axis=0)
 
@@ -188,8 +198,8 @@ def compute_partition(positions, domain: Domain) -> VoronoiPartition:
     block, so each pixel gets the same minimum, owner and tie as in one
     full-grid pass over every agent, whatever the block size (see the module
     docstring). The runs of one owner are found only in blocks that swept more
-    than one agent; elsewhere each row is one run. The cells and the neighbor
-    graph are left to the partition's first read of them.
+    than one agent; elsewhere each row is one run. The bounding boxes and the
+    neighbor graph are left to the partition's first read of them.
     Raises ``OutsideDomainError`` if any position falls outside the
     workspace rectangle.
     """
@@ -274,24 +284,20 @@ def _run_starts(owner: np.ndarray, blocks) -> np.ndarray:
     return np.concatenate(starts)
 
 
-def _cut_cells(flat_owner: np.ndarray, run_start: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
-    """Each agent's sorted flat pixel indices, expanded from its runs in flat order."""
-    run_length = np.diff(run_start, append=len(flat_owner))
-    run_owner = flat_owner[run_start]
-    order = np.argsort(run_owner, kind="stable")  # each agent's runs stay in flat order
-    bounds = np.searchsorted(run_owner[order], np.arange(n + 1))
-    cells = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        start, length = run_start[order[lo:hi]], run_length[order[lo:hi]]
-        # slot k of the cell, in a run that begins at slot s, holds start + (k - s)
-        cell = np.repeat(start - (np.cumsum(length) - length), length)
-        ramp = np.arange(min(_PARTITION_BLOCK_PIXELS, len(cell)))
-        for k0 in range(0, len(cell), _PARTITION_BLOCK_PIXELS):
-            chunk = cell[k0:k0 + _PARTITION_BLOCK_PIXELS]
-            chunk += ramp[:len(chunk)]
-            ramp += len(ramp)
-        cells.append(cell)
-    return tuple(cells)
+def _run_boxes(owner: np.ndarray, run_start: np.ndarray, n: int) -> np.ndarray:
+    """Each agent's bounding box from its runs, ``(n, 4)`` rows ``(x0, y0, x1, y1)``
+    with exclusive ends; a run lies in one row and ends where the next one starts
+    or its row ends. An agent without runs gets ``(0, 0, 0, 0)``."""
+    run_owner = owner.ravel()[run_start]
+    row, column = np.divmod(run_start, owner.shape[1])
+    end = column + np.diff(run_start, append=owner.size)
+    boxes = np.zeros((n, 4), dtype=np.intp)
+    boxes[:, :2] = max(owner.shape)
+    for ufunc, corner, values in ((np.minimum, 0, column), (np.minimum, 1, row),
+                                  (np.maximum, 2, end), (np.maximum, 3, row + 1)):
+        ufunc.at(boxes[:, corner], run_owner, values)
+    boxes[boxes[:, 2] == 0] = 0
+    return boxes
 
 
 def _adjacent_pairs(owner: np.ndarray, run_start: np.ndarray,
@@ -336,5 +342,6 @@ def laplacian_of(neighbors) -> np.ndarray:
 
 
 def cell_pixels(partition: VoronoiPartition, agent: int, domain: Domain) -> CellPixels:
-    """The pixels owned by ``agent``."""
-    return CellPixels(partition.cells[agent], domain)
+    """The pixels owned by ``agent``, as its owner mask on its bounding box."""
+    x0, y0, x1, y1 = partition.boxes[agent].tolist()
+    return CellPixels(partition.owner[y0:y1, x0:x1] == agent, x0, y0, domain)

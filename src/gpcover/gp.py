@@ -14,8 +14,8 @@ kernel factors per axis there, so the mean over a lattice of pixel centres is a
 product of per-axis factors (exact Kronecker structure, no interpolation),
 taken in row blocks small enough that BLAS runs each on one thread and the
 result does not depend on the thread count. The expected cost reads it on a
-cell's bounding box through :func:`grid_posterior_mean`, and the rmse metric on
-its strided lattice; both agree with :func:`posterior_mean` to rounding.
+cell's bounding box, and the rmse metric on its strided lattice; both agree
+with :func:`posterior_mean` to rounding.
 :func:`posterior_mean` and :func:`posterior` serve arbitrary query points.
 """
 
@@ -217,27 +217,6 @@ def lattice_posterior_mean(gp: SparseGP, xs, ys) -> np.ndarray:
         np.matmul(ey[r:r + rows], ex.T, out=mean[r:r + rows])
     mean += hyper.prior_mean
     return mean.ravel()
-
-
-def grid_posterior_mean(gp: SparseGP, xs: np.ndarray, ys: np.ndarray, ix, iy) -> np.ndarray:
-    """Posterior mean at the pixel centres ``(xs[ix], ys[iy])`` of a grid.
-
-    :func:`lattice_posterior_mean` on the bounding box of the queried pixels,
-    gathered at ``(iy, ix)``.
-    """
-    ix = np.asarray(ix)
-    iy = np.asarray(iy)
-    if ix.size == 0:
-        return np.full(ix.shape, gp.hyper.prior_mean)
-    x0, y0 = int(ix.min()), int(iy.min())
-    box_xs = xs[x0:int(ix.max()) + 1]
-    box = lattice_posterior_mean(gp, box_xs, ys[y0:int(iy.max()) + 1])
-    # one flat gather from the box, its row-major index built in place
-    flat = iy - y0
-    flat *= len(box_xs)
-    flat += ix
-    flat -= x0
-    return box.take(flat)
 
 
 def smw_extend(inverse: np.ndarray, points, new_point, hyper: Hyperparams) -> np.ndarray:

@@ -24,7 +24,7 @@ from .consensus import ConsensusConfig, consensus_step
 from .control import OptimizerState, _capped_move, step as control_step, record_std
 from .cost import QuadratureSpec, cell_cost_report, mass_centroid, true_locational_cost
 from .density import DensityField, bilinear, build_scenario
-from .errors import DecentralizationError
+from .errors import ConfigurationError, DecentralizationError
 from .geometry import Domain, cell_pixels, compute_partition
 from .gp import Hyperparams, SparseGP, greedy_select, lattice_posterior_mean, merge_inducing, \
     refit_hyperparams
@@ -265,6 +265,9 @@ def run(config: SimConfig, audit: AccessAudit | None = None, sample_probe=None) 
     config.validate()
     domain = config.domain()
     field = build_scenario(config.scenario, domain, config.scenario_params)
+    if config.signal_variance0 is None and not (0.5 * field.max_value) ** 2 > 0:
+        raise ConfigurationError(f"signal_variance0 must be given: it is derived as (max density "
+                                 f"/ 2)**2, and the density's maximum is {field.max_value}")
     noise_sigma = config.noise_sigma
     if noise_sigma is None:
         noise_sigma = 0.05 * field.max_value

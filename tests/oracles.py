@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+from gpcover import CellPixels
+
 
 def brute_force_owner(positions, domain) -> np.ndarray:
     """Per-pixel nearest-agent assignment via plain Python loops; ties to lowest index."""
@@ -40,6 +42,21 @@ def brute_force_nearest(positions, domain) -> tuple[np.ndarray, np.ndarray]:
             owner[iy, ix] = best
             dist2[iy, ix] = best_d2
     return owner, dist2
+
+
+def cell_from_index(index, domain) -> CellPixels:
+    """The cell of the given flat row-major pixel indices, as a mask on their bounding box."""
+    iy, ix = np.divmod(np.asarray(index), domain.width)
+    x0, y0 = int(ix.min()), int(iy.min())
+    mask = np.zeros((int(iy.max()) - y0 + 1, int(ix.max()) - x0 + 1), dtype=bool)
+    mask[iy - y0, ix - x0] = True
+    return CellPixels(mask, x0, y0, domain)
+
+
+def cell_index(cell) -> np.ndarray:
+    """A cell's sorted flat row-major pixel indices in its whole domain."""
+    rows, columns = np.nonzero(cell.mask)
+    return (rows + cell.y0) * cell.domain.width + columns + cell.x0
 
 
 def se_kernel_matrix(a, b, lengthscale, signal_variance) -> np.ndarray:

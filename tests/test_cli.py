@@ -238,6 +238,10 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
         ("optimizer: {eta: -.inf}", "eta"),
         ("noise_sigma: .NaN", "noise_sigma"),
         ("domain: {cell_size: .Inf}", "cell_size"),
+        # a zero density leaves signal_variance0 nothing to derive from: run() refuses it
+        ({"scenario": "custom", "scenario_params": {"background": 0.0},
+          "domain": {"width": 48, "height": 27}, "n_agents": 2, "rounds": 2},
+         "signal_variance0"),
     ):
         config_path = tmp_path / "bad.yaml"
         config_path.write_text(mapping if isinstance(mapping, str) else yaml.safe_dump(mapping))

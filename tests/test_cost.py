@@ -7,16 +7,16 @@ import math
 import numpy as np
 import pytest
 
-from gpcover import (CellPixels, Domain, Hyperparams, QuadratureSpec, SimConfig, SparseGP,
+from gpcover import (Domain, Hyperparams, QuadratureSpec, SimConfig, SparseGP,
                      cell_cost_report, cell_pixels, compute_partition, expected_cost,
                      kernel_matrix, mass_centroid, posterior_mean, run_lloyd_baseline,
                      true_locational_cost, variance_cost)
 from gpcover import geometry
 from gpcover.density import DensityField, GaussianBlob, GaussianMixture
-from gpcover.cost import _pair_nodes, _weighted_pixels
+from gpcover.cost import _pair_nodes, _share, _strided_terms
 from gpcover.gp import _SERIAL_GEMM_MACS, _axis_factor
 
-from oracles import central_fd
+from oracles import central_fd, cell_from_index, cell_index
 
 FULL = QuadratureSpec(single_stride=1, pair_budget=10_000, beta=0.0)
 
@@ -35,11 +35,19 @@ def _seeded_gp(rng, domain, n=12, prior_mean=0.0):
 
 
 def test_single_quadrature_weights_sum_to_cell_area():
-    _, cell = _whole_grid_cell(13, 9)
-    for stride in (1, 2, 3, 5):
-        ix, iy, weight = _weighted_pixels(cell, slice(None, None, stride))
-        assert len(ix) == len(iy) == len(range(0, 13 * 9, stride))
-        assert weight * len(ix) == pytest.approx(13 * 9, rel=1e-12)
+    # both gathers, the mask's and the flat indices', give every stride-th pixel
+    # in row-major order, each with its own posterior mean
+    domain = Domain(13, 9)
+    part = compute_partition([[3.0, 4.0], [10.0, 2.0]], domain)
+    gp = _seeded_gp(np.random.default_rng(3), domain)
+    for i in range(2):
+        cell = cell_pixels(part, i, domain)
+        for stride in (1, 2, 3, 5):
+            mean, x, y = _strided_terms(cell, stride, gp, 0.0, 0.0)
+            nodes = cell.centers[::stride]
+            np.testing.assert_array_equal(np.column_stack([x, y]), nodes)
+            np.testing.assert_allclose(mean, posterior_mean(gp, nodes), rtol=1e-12, atol=1e-12)
+            assert _share(cell, len(mean)) * len(mean) == pytest.approx(len(cell), rel=1e-12)
 
 
 def test_pair_quadrature_weights_sum_to_cell_area():
@@ -121,7 +129,7 @@ def _first_grid_expected(cell, pos, gp, stride):
     GEMM gathered by a 2-D index, and a fresh array for every step."""
     px, py = pos
     k = len(cell)
-    iy, ix = np.divmod(cell.index[::stride], cell.domain.width)
+    iy, ix = np.divmod(cell_index(cell)[::stride], cell.domain.width)
     weight = cell.pixel_area if len(ix) == k else k * cell.pixel_area / len(ix)
     xs, ys = cell.domain.axis_centers()
     hyper = gp.hyper
@@ -147,11 +155,17 @@ def test_expected_cost_is_bit_identical_to_the_first_grid_form():
     part = compute_partition(pos, domain)
     cells = [(cell_pixels(part, i, domain), pos[i]) for i in range(3)]
     # one pixel, one row, and a thin diagonal cell whose box spans the grid
-    cells += [(CellPixels(np.array([9 * 40 + 21]), domain), pos[0]),
-              (CellPixels(np.arange(6 * 40 + 2, 6 * 40 + 37), domain), pos[1]),
-              (CellPixels(np.array([iy * 40 + (iy * 3) // 2 for iy in range(25)]), domain),
-               pos[2])]
-    for n, prior_mean in ((0, 0.4), (0, -0.2), (15, 0.0), (15, -0.6)):
+    cells += [(cell_from_index([9 * 40 + 21], domain), pos[0]),
+              (cell_from_index(np.arange(6 * 40 + 2, 6 * 40 + 37), domain), pos[1]),
+              (cell_from_index([iy * 40 + (iy * 3) // 2 for iy in range(25)], domain), pos[2])]
+    # triangles whose strided pixels miss their leftmost columns: the strided
+    # sums' lattice spans a narrower box than the cell's, which moves its bits
+    cells += [(cell_from_index([iy * 40 + ix for iy in range(rows)
+                                for ix in range(14 - iy, 17 + iy)], domain), pos[0])
+              for rows in (2, 3, 12)]
+    # 60 rows, as in the benchmark's runs, is where the lattice's extent moves
+    # its bits most often
+    for n, prior_mean in ((0, 0.4), (0, -0.2), (15, 0.0), (15, -0.6), (60, 0.1)):
         # values of both signs, so that the clip at zero takes part
         rows = np.column_stack([rng.uniform([0, 0], [20, 12.5], size=(n, 2)),
                                 rng.uniform(-1.0, 2.0, size=n)])
@@ -162,6 +176,58 @@ def test_expected_cost_is_bit_identical_to_the_first_grid_form():
                 ref_value, ref_grad = _first_grid_expected(cell, p, gp, stride)
                 assert value == ref_value
                 np.testing.assert_array_equal(grad, ref_grad)
+
+
+def _grid_cases():
+    """(cell, stride) pairs covering the shapes a grid evaluation must handle."""
+    rng = np.random.default_rng(11)
+    domain = Domain(30, 20)
+    part = compute_partition(rng.uniform([0, 0], [30, 20], size=(5, 2)), domain)
+    for i in range(5):
+        for stride in (1, 2, 7):
+            yield cell_pixels(part, i, domain), stride
+    # one pixel, one row, one column, and a stride longer than the cell
+    yield cell_from_index([7 * 30 + 13], domain), 1
+    yield cell_from_index(np.arange(4 * 30 + 3, 4 * 30 + 25), domain), 3
+    yield cell_from_index(np.arange(2, 20 * 30, 30), domain), 2
+    yield cell_from_index(np.arange(4 * 30 + 3, 4 * 30 + 9), domain), 50
+    # a domain taller than wide, so that the two axes' centres differ
+    tall = Domain(6, 25)
+    part = compute_partition([[1.0, 3.0], [4.0, 22.0]], tall)
+    yield cell_pixels(part, 1, tall), 2
+    # half-unit pixels
+    fine = Domain(16, 12, cell_size=0.5)
+    part = compute_partition([[1.0, 1.0], [6.0, 4.0]], fine)
+    yield cell_pixels(part, 0, fine), 1
+    yield cell_pixels(part, 1, fine), 3
+    # a thin diagonal cell whose bounding box spans the whole grid
+    yield cell_from_index([iy * 30 + (iy * 3) // 2 for iy in range(20)], domain), 1
+
+
+def test_expected_cost_matches_the_dense_oracle_on_grid_shapes():
+    # the mean on the cell's box, gathered by its mask, is the dense mean at
+    # the pixels to 1e-12 of the data's scale; the cost and its gradient are
+    # then within that much of their sums of |weight * offset|
+    rng = np.random.default_rng(12)
+    for cell, stride in _grid_cases():
+        domain = cell.domain
+        span = [domain.world_width, domain.world_height]
+        nodes, weights = _dense_nodes(cell, np.arange(0, len(cell), stride))
+        for n in (0, 1, 9, 40):
+            pts = rng.uniform([0, 0], span, size=(n, 2))
+            rows = np.column_stack([pts, rng.uniform(-1.0, 3.0, size=n)])
+            hyper = Hyperparams(rng.uniform(0.5, 8.0) * domain.cell_size, rng.uniform(0.1, 5.0),
+                                rng.uniform(1e-4, 0.2), prior_mean=rng.uniform(-1.0, 1.0))
+            gp = SparseGP.fit(rows, hyper)
+            pos = rng.uniform([0, 0], span)
+            value, grad = expected_cost(cell, pos, gp, QuadratureSpec(single_stride=stride))
+            ref_value, ref_grad = _dense_expected(cell, pos, gp, stride)
+            scale = max(float(np.max(np.abs(rows[:, 2] - hyper.prior_mean), initial=0.0)),
+                        abs(hyper.prior_mean), float(np.max(np.abs(posterior_mean(gp, nodes)))))
+            offset = np.abs(nodes - pos) * weights[:, None]
+            assert abs(value - ref_value) <= 1e-12 * scale * 0.5 * float(
+                (offset * np.abs(nodes - pos)).sum())
+            assert np.all(np.abs(grad - ref_grad) <= 1e-12 * scale * offset.sum(axis=0))
 
 
 def _one_table_std(cell, pos, gp, budget):
@@ -346,7 +412,8 @@ def test_mass_centroid_matches_exact_sums_over_each_cell(monkeypatch):
         field = DensityField(domain, rng.uniform(0.0, 3.0, size=(domain.height, domain.width)))
         mass, centroid = mass_centroid(part, field)
         xs, ys = domain.axis_centers()
-        for i, index in enumerate(part.cells):
+        for i in range(part.n_agents):
+            index = np.flatnonzero(part.owner.ravel() == i)
             iy, ix = np.divmod(index, domain.width)
             vals = field.values.ravel()[index]
             exact = math.fsum(vals)
@@ -400,14 +467,19 @@ def test_report_with_zero_beta_ignores_exploration():
 
 def test_report_of_empty_cell_is_zero_at_the_agent():
     domain = Domain(10, 10)
-    # both agents at the same spot: the tie gives agent 1 nothing
-    part = compute_partition([[5.0, 5.0], [5.0, 5.0]], domain)
-    cell = cell_pixels(part, 1, domain)
-    assert len(cell) == 0
-    gp = SparseGP.fit(np.zeros((0, 3)), Hyperparams(1.0, 1.0, 0.1))
-    report = cell_cost_report(cell, [5.0, 5.0], gp, FULL)
-    assert report.expected == report.std == report.total == 0.0
-    np.testing.assert_array_equal(report.grad_total, [0.0, 0.0])
+    # agents 1 and 3 sit where a lower index does: the tie gives them nothing
+    pos = [[5.0, 5.0], [5.0, 5.0], [2.2, 7.9], [2.2, 7.9]]
+    part = compute_partition(pos, domain)
+    gp = SparseGP.fit([[3.0, 4.0, 1.0]], Hyperparams(1.0, 1.0, 0.1))
+    for i in (1, 3):
+        cell = cell_pixels(part, i, domain)
+        assert len(cell) == 0 and cell.mask.size == 0
+        assert part.boxes[i].tolist() == [0, 0, 0, 0]
+        for quad in (FULL, QuadratureSpec(single_stride=3, pair_budget=4, beta=2.0)):
+            report = cell_cost_report(cell, pos[i], gp, quad)
+            assert report.expected == report.std == report.total == 0.0
+            for grad in (report.grad_expected, report.grad_std, report.grad_total):
+                np.testing.assert_array_equal(grad, [0.0, 0.0])
 
 
 def test_true_cost_of_uniform_unit_density_by_hand():

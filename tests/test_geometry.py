@@ -13,14 +13,15 @@ from gpcover import (Domain, OutsideDomainError, SimConfig, cell_pixels, compute
 from gpcover import geometry
 from gpcover.geometry import _PARTITION_BLOCK_PIXELS
 
-from oracles import brute_force_nearest, brute_force_owner
+from oracles import brute_force_nearest, brute_force_owner, cell_index
 
 
 def test_single_agent_owns_everything():
     domain = Domain(12, 7)
     part = compute_partition([[3.0, 2.0]], domain)
     assert np.all(part.owner == 0)
-    assert len(part.cells[0]) == 12 * 7
+    cell = cell_pixels(part, 0, domain)
+    assert len(cell) == 12 * 7 and cell.mask.shape == (7, 12) and cell.mask.all()
     assert part.neighbors == ((),)
     assert part.laplacian.tolist() == [[0]]
 
@@ -31,8 +32,8 @@ def test_two_agent_bisector_splits_grid_in_half():
     # bisector at x=5: columns 0..4 (centers 0.5..4.5) to agent 0
     assert np.all(part.owner[:, :5] == 0)
     assert np.all(part.owner[:, 5:] == 1)
-    assert len(part.cells[0]) == 50
-    assert len(part.cells[1]) == 50
+    assert len(cell_pixels(part, 0, domain)) == 50
+    assert len(cell_pixels(part, 1, domain)) == 50
     assert part.neighbors == ((1,), (0,))
 
 
@@ -101,8 +102,7 @@ def test_matches_brute_force_oracle_across_row_blocks():
         owner, dist2 = brute_force_nearest(pos, domain)
         np.testing.assert_array_equal(part.owner, owner)
         np.testing.assert_array_equal(part.dist2, dist2)
-        for i in range(len(pos)):
-            np.testing.assert_array_equal(part.cells[i], np.flatnonzero(owner.ravel() == i))
+        _assert_cells_are_tight_owner_masks(part, owner, domain)
         assert part.neighbors == _oracle_neighbors(owner, len(pos))
     shared = [((iy, ix), (jy, jx)) for iy in range(domain.height) for ix in range(domain.width)
               for jy, jx in ((iy, ix + 1), (iy + 1, ix))
@@ -111,17 +111,35 @@ def test_matches_brute_force_oracle_across_row_blocks():
     assert shared == [((rows - 1, 100), (rows, 100))] and 1 in part.neighbors[0]
 
 
-def test_cells_are_sorted_flat_indices_partitioning_the_grid():
+def _assert_cells_are_tight_owner_masks(part, owner, domain):
+    """Each agent's cell is ``owner == i`` on a box whose edge rows and columns hold a pixel."""
+    for i in range(part.n_agents):
+        cell = cell_pixels(part, i, domain)
+        mask = cell.mask
+        assert mask.dtype == bool
+        assert len(cell) == np.count_nonzero(owner == i)
+        if len(cell) == 0:
+            assert mask.size == 0
+            continue
+        rows, columns = mask.shape
+        np.testing.assert_array_equal(
+            mask, owner[cell.y0:cell.y0 + rows, cell.x0:cell.x0 + columns] == i)
+        assert mask[0].any() and mask[-1].any() and mask[:, 0].any() and mask[:, -1].any()
+        np.testing.assert_array_equal(cell.flat, np.flatnonzero(mask))
+
+
+def test_cells_are_tight_owner_masks_partitioning_the_grid():
     domain = Domain(20, 11)
     part = compute_partition([[3, 3], [14, 8], [10, 2]], domain)
-    all_idx = np.concatenate(part.cells)
+    _assert_cells_are_tight_owner_masks(part, part.owner, domain)
+    # the cells' pixels, placed back on the grid, cover it once, in row-major order
+    all_idx = np.concatenate([cell_index(cell_pixels(part, i, domain)) for i in range(3)])
     assert len(all_idx) == domain.n_pixels
     assert len(np.unique(all_idx)) == domain.n_pixels
-    for cell in part.cells:
-        assert np.all(np.diff(cell) > 0)
-    # flat indices are row-major: recovering (iy, ix) must match the owner grid
-    for i, cell in enumerate(part.cells):
-        iy, ix = np.divmod(cell, domain.width)
+    for i in range(3):
+        index = cell_index(cell_pixels(part, i, domain))
+        assert np.all(np.diff(index) > 0)
+        iy, ix = np.divmod(index, domain.width)
         assert np.all(part.owner[iy, ix] == i)
 
 
@@ -193,7 +211,8 @@ def test_cell_pixels_returns_centers_with_area():
     for i in range(3):
         cell = cell_pixels(part, i, domain)
         assert len(cell) > 0
-        np.testing.assert_array_equal(cell.centers, table[part.cells[i]])
+        np.testing.assert_array_equal(cell.centers,
+                                      table[np.flatnonzero(part.owner.ravel() == i)])
 
 
 @settings(max_examples=40, deadline=None)
@@ -229,7 +248,7 @@ _PAPER_START = [[297.6, 151.2], [652.8, 178.2], [326.4, 383.4], [633.6, 372.6]]
 
 
 def _full_sweep(positions, domain, block_pixels=_PARTITION_BLOCK_PIXELS):
-    """Every agent over every row block, with cells and neighbors from full-grid scans.
+    """Every agent over every row block, with neighbors from full-grid scans.
 
     The sweep as it stood before blocks skipped agents: a running minimum from
     infinity over all agents in index order, a strict compare, owner 0 to start.
@@ -249,7 +268,6 @@ def _full_sweep(positions, domain, block_pixels=_PARTITION_BLOCK_PIXELS):
             np.minimum(best[r0:r1], d2, out=best[r0:r1])
             np.copyto(owner[r0:r1], i, where=closer)
     n = len(pos)
-    cells = [np.flatnonzero(owner.ravel() == i) for i in range(n)]
     pairs = np.concatenate([np.stack([owner[:, :-1].ravel(), owner[:, 1:].ravel()]),
                             np.stack([owner[:-1, :].ravel(), owner[1:, :].ravel()])], axis=1)
     pairs = pairs[:, pairs[0] != pairs[1]]
@@ -257,19 +275,16 @@ def _full_sweep(positions, domain, block_pixels=_PARTITION_BLOCK_PIXELS):
     for i, j in np.unique(np.sort(pairs, axis=0), axis=1).T.tolist():
         adj[i].add(j)
         adj[j].add(i)
-    return owner, best, cells, tuple(tuple(sorted(a)) for a in adj)
+    return owner, best, tuple(tuple(sorted(a)) for a in adj)
 
 
 def _assert_matches_full_sweep(pos, domain, block_pixels=_PARTITION_BLOCK_PIXELS):
     part = compute_partition(pos, domain)
-    owner, dist2, cells, neighbors = _full_sweep(pos, domain, block_pixels)
+    owner, dist2, neighbors = _full_sweep(pos, domain, block_pixels)
     assert part.owner.dtype == np.intp
     np.testing.assert_array_equal(part.owner, owner)
     assert part.dist2.tobytes() == dist2.tobytes()
-    assert len(part.cells) == len(cells)
-    for got, want in zip(part.cells, cells):
-        assert got.dtype == np.intp
-        np.testing.assert_array_equal(got, want)
+    _assert_cells_are_tight_owner_masks(part, owner, domain)
     assert part.neighbors == neighbors
 
 
@@ -329,7 +344,7 @@ def test_pruned_sweep_matches_the_full_sweep_on_small_and_scaled_grids(
 
 
 def test_lloyd_baseline_never_builds_the_neighbor_graph(monkeypatch):
-    calls = {"_adjacent_pairs": [], "_cut_cells": []}
+    calls = {"_adjacent_pairs": [], "CellPixels": []}
     for name, log in calls.items():
         def spy(*args, _original=getattr(geometry, name), _log=log):
             _log.append(args)
@@ -337,14 +352,15 @@ def test_lloyd_baseline_never_builds_the_neighbor_graph(monkeypatch):
 
         monkeypatch.setattr(geometry, name, spy)
     # hotspots' background of 20 gives every cell mass, so Lloyd never falls
-    # back to a cell's geometric centre and never cuts the cells either
+    # back to a cell's geometric centre and never builds a cell either
     config = SimConfig(width=48, height=27, n_agents=3, rounds=3, seed=2, scenario="hotspots")
     run_lloyd_baseline(config)
-    assert calls == {"_adjacent_pairs": [], "_cut_cells": []}
-    # the method reads the graph and the cells every round, through the same
-    # functions, but never those of the partition after its last move
+    assert calls == {"_adjacent_pairs": [], "CellPixels": []}
+    # the method reads the graph every round and builds every agent's cell,
+    # but never those of the partition after its last move
     run(config)
-    assert len(calls["_adjacent_pairs"]) == len(calls["_cut_cells"]) == config.rounds
+    assert len(calls["_adjacent_pairs"]) == config.rounds
+    assert len(calls["CellPixels"]) == config.rounds * config.n_agents
 
 
 def test_neighbor_graph_is_built_on_first_read_and_matches_the_oracle():
@@ -353,12 +369,13 @@ def test_neighbor_graph_is_built_on_first_read_and_matches_the_oracle():
     for n in (1, 2, 4, 9):
         for pos in _layouts(rng, domain, n):
             part = compute_partition(pos, domain)
-            assert not {"cells", "neighbors", "laplacian"} & set(vars(part))
+            assert not {"boxes", "neighbors", "laplacian"} & set(vars(part))
             oracle = _oracle_neighbors(part.owner, n)
             np.testing.assert_array_equal(part.laplacian, laplacian_of(oracle))
             assert part.neighbors == oracle
             # built once: later reads return the same objects
             assert part.neighbors is part.neighbors and part.laplacian is part.laplacian
+            assert part.boxes is part.boxes
 
 
 @pytest.mark.parametrize("block_pixels", [_PARTITION_BLOCK_PIXELS, 40])
@@ -377,6 +394,8 @@ def test_run_starts_mark_every_owner_change_in_flat_order(monkeypatch, block_pix
         row_starts = np.arange(0, flat.size, domain.width)
         assert part.run_start.dtype == np.intp
         np.testing.assert_array_equal(part.run_start, np.union1d(changes, row_starts))
+        # the bounding boxes come from the runs
+        _assert_cells_are_tight_owner_masks(part, part.owner, domain)
 
 
 @pytest.mark.parametrize("height,width", [(3, 3), (2, 4), (4, 2)])

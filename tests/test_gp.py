@@ -8,11 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gpcover import (CellPixels, Domain, Hyperparams, SingularityError, SparseGP,
-                     cell_pixels, compute_partition, greedy_select, kernel_matrix,
-                     log_marginal_likelihood, merge_inducing, posterior, posterior_mean,
-                     refit_hyperparams, smw_extend)
-from gpcover.gp import grid_posterior_mean, lattice_posterior_mean
+from gpcover import (Domain, Hyperparams, SingularityError, SparseGP, greedy_select,
+                     kernel_matrix, log_marginal_likelihood, merge_inducing, posterior,
+                     posterior_mean, refit_hyperparams, smw_extend)
+from gpcover.gp import lattice_posterior_mean
 
 from oracles import dense_posterior, greedy_oracle, se_kernel_matrix
 
@@ -95,56 +94,6 @@ def test_posterior_mean_agrees_with_full_posterior():
     mean_only = posterior_mean(gp, queries)
     mean_full, _ = posterior(gp, queries)
     np.testing.assert_array_equal(mean_only, mean_full)
-
-
-def _grid_cases():
-    """(cell, stride) pairs covering the shapes a grid evaluation must handle."""
-    rng = np.random.default_rng(11)
-    domain = Domain(30, 20)
-    part = compute_partition(rng.uniform([0, 0], [30, 20], size=(5, 2)), domain)
-    for i in range(5):
-        for stride in (1, 2, 7):
-            yield cell_pixels(part, i, domain), stride
-    # one pixel, one row, one column, and a stride longer than the cell
-    yield CellPixels(np.array([7 * 30 + 13]), domain), 1
-    yield CellPixels(np.arange(4 * 30 + 3, 4 * 30 + 25), domain), 3
-    yield CellPixels(np.arange(2, 20 * 30, 30), domain), 2
-    yield CellPixels(np.arange(4 * 30 + 3, 4 * 30 + 9), domain), 50
-    # a domain taller than wide, so that the two axes' centres differ
-    tall = Domain(6, 25)
-    part = compute_partition([[1.0, 3.0], [4.0, 22.0]], tall)
-    yield cell_pixels(part, 1, tall), 2
-    # half-unit pixels
-    fine = Domain(16, 12, cell_size=0.5)
-    part = compute_partition([[1.0, 1.0], [6.0, 4.0]], fine)
-    yield cell_pixels(part, 0, fine), 1
-    yield cell_pixels(part, 1, fine), 3
-    # a thin diagonal cell whose bounding box spans the whole grid
-    yield CellPixels(np.array([iy * 30 + (iy * 3) // 2 for iy in range(20)]), domain), 1
-
-
-def test_grid_posterior_mean_matches_dense_posterior_mean():
-    rng = np.random.default_rng(12)
-    for cell, stride in _grid_cases():
-        domain = cell.domain
-        xs, ys = domain.axis_centers()
-        iy, ix = np.divmod(cell.index[::stride], domain.width)
-        query = np.column_stack([xs[ix], ys[iy]])
-        span = [domain.world_width, domain.world_height]
-        for n in (0, 1, 9, 40):
-            pts = rng.uniform([0, 0], span, size=(n, 2))
-            rows = np.column_stack([pts, rng.uniform(-1.0, 3.0, size=n)])
-            hyper = Hyperparams(rng.uniform(0.5, 8.0) * domain.cell_size, rng.uniform(0.1, 5.0),
-                                rng.uniform(1e-4, 0.2), prior_mean=rng.uniform(-1.0, 1.0))
-            gp = SparseGP.fit(rows, hyper)
-            grid = grid_posterior_mean(gp, xs, ys, ix, iy)
-            dense = posterior_mean(gp, query)
-            assert grid.shape == dense.shape == (len(ix),)
-            scale = max(float(np.max(np.abs(rows[:, 2] - hyper.prior_mean), initial=0.0)),
-                        abs(hyper.prior_mean))
-            assert np.max(np.abs(grid - dense)) <= 1e-12 * scale
-            if n == 0:
-                np.testing.assert_array_equal(grid, np.full(len(ix), hyper.prior_mean))
 
 
 def test_lattice_posterior_mean_is_bit_identical_to_the_dense_mean():

@@ -158,12 +158,11 @@ _THREAD_PROBE = """
 import hashlib, sys
 import numpy as np
 from gpcover import Hyperparams, SimConfig, SparseGP, run
-from gpcover.gp import grid_posterior_mean
+from gpcover.gp import lattice_posterior_mean
 rng = np.random.default_rng(5)
 rows = np.column_stack([rng.uniform([0, 0], [171, 135], size=(60, 2)), rng.uniform(0, 1, 60)])
 gp = SparseGP.fit(rows, Hyperparams(20.0, 1.0, 1e-3))
-iy, ix = np.divmod(np.arange(135 * 171), 171)
-mean = grid_posterior_mean(gp, np.arange(171) + 0.5, np.arange(135) + 0.5, ix, iy)
+mean = lattice_posterior_mean(gp, np.arange(171) + 0.5, np.arange(135) + 0.5)
 run(SimConfig(width=240, height=135, scenario="four_gaussians", n_agents=4, seed=1,
               rounds=20, T=3, M=60, beta=2.0, single_stride=2, pair_budget=256,
               signal_variance0=1.2e-4, noise_sigma=0.002, lengthscale0=24.0, epsilon=1e-4,
@@ -453,6 +452,22 @@ def test_config_validation_rejects_bad_values():
     with pytest.raises(ConfigurationError):
         SimConfig(init_mode="explicit", n_agents=2,
                   explicit_positions=((1.0, 1.0),)).validate()
+
+
+def test_run_on_a_zero_density_needs_a_signal_variance():
+    # a zero background, a blob of amplitude 0, and a blob that underflows to 0
+    # at every pixel centre all rasterize to zero: signal_variance0 cannot be derived
+    base = dict(width=48, height=27, n_agents=2, rounds=2, scenario="custom")
+    for params in ({"background": 0.0}, {"blobs": [[10.0, 10.0, 3.0, 0.0]]},
+                   {"blobs": [[10.0, 10.0, 0.01, 1.0]]}):
+        config = SimConfig(**base, scenario_params=params)
+        config.validate()
+        with pytest.raises(ConfigurationError, match="signal_variance0"):
+            run(config)
+        # Lloyd needs no model and runs on it, at zero cost
+        assert not run_lloyd_baseline(config).true_cost.any()
+    trace = run(SimConfig(**base, scenario_params={"background": 0.0}, signal_variance0=1.0))
+    assert trace.n_rounds == 2 and not trace.true_cost.any()
 
 
 def test_run_rejects_unstable_consensus_alpha():

@@ -6,10 +6,12 @@ Runs ``perfbench/run.py`` of two checkouts of the repository on every workload
 of ``BENCHMARK.json`` for its ``run_seconds``, one pair per seed of ``SEEDS``,
 alternating which side runs first. For every end-to-end metric it records each
 run's value, each side's median and quartiles, and how many pairs the change
-won (ties count for neither side). One ``--trace 1`` run per side and workload,
-on the first seed, gives the per-layer metrics. Each checkout runs its own
-benchmark code on its own library; the benchmark sets its own BLAS thread
-count. Each side's ``src_sha256`` (see :func:`src_digest`) ties the record to
+won (ties count for neither side). ``TRACED_RUNS`` ``--trace 1`` runs per side
+and workload, on the first seed and alternating which side runs first, give the
+per-layer metrics: the record keeps every traced run and each metric's median
+over a side's runs, since one traced run on a busy machine can be far off.
+Each checkout runs its own benchmark code on its own library; the benchmark
+sets its own BLAS thread count. Each side's ``src_sha256`` (see :func:`src_digest`) ties the record to
 the library it measured, committed or not.
 """
 
@@ -26,6 +28,9 @@ import numpy as np
 
 # kept apart from seeds 1-3, on which a change is sized while it is written
 SEEDS = range(4, 14)
+
+# traced runs per side and workload; the per-layer metrics are their medians
+TRACED_RUNS = 3
 
 
 def src_digest(checkout: Path) -> str:
@@ -72,6 +77,26 @@ def compare(pairs, metric: str, better: str) -> dict:
     return out
 
 
+def traced(sides: dict, workload: str, seconds: float) -> dict:
+    """``TRACED_RUNS`` traced runs per side, alternating which side runs first,
+    with each per-layer metric's median over a side's runs."""
+    runs = {side: [] for side in sides}
+    for k in range(TRACED_RUNS):
+        for side in (sides if k % 2 == 0 else reversed(sides)):
+            runs[side].append(run_once(sides[side], workload, SEEDS[0], seconds, 1))
+            print(f"{workload} traced run {k} {side}: returncode "
+                  f"{runs[side][-1]['returncode']}", flush=True)
+    out = {}
+    for side, side_runs in runs.items():
+        names = [name for name in side_runs[0]["metrics"]
+                 if all(name in r["metrics"] for r in side_runs)]
+        median = {name: {"value": float(np.median([r["metrics"][name]["value"]
+                                                   for r in side_runs])),
+                         "unit": side_runs[0]["metrics"][name]["unit"]} for name in names}
+        out[side] = {"median": median, "runs": side_runs}
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent")
@@ -103,7 +128,7 @@ def main(argv=None) -> int:
             "env": {s: pairs[0][s]["env"] for s in sides},
             "metrics": {m["name"]: compare(pairs, m["name"], m["better"])
                         for m in declared["end_to_end"]},
-            "traced": {s: run_once(sides[s], workload, SEEDS[0], seconds, 1) for s in sides},
+            "traced": traced(sides, workload, seconds),
         }
         record["workloads"][workload] = entry
         args.out.write_text(json.dumps(record, indent=1) + "\n")

@@ -12,8 +12,9 @@ workload's seeds it prints the same prefix of its rasterized density's bytes
 (``build_scenario(...).values.tobytes()``), and after them the prefixes of
 two digests of partitions: at every position of seed 1's Lloyd trace and at
 every position of seed 1's method trace, each start included. Each digest
-covers every partition's ``owner`` and ``dist2`` bytes, every cell's bytes and
-the neighbor lists. A change meant to be byte-identical prints the same lines
+covers every partition's ``owner`` and ``dist2`` bytes, every agent's sorted
+flat pixel indices (``np.flatnonzero(owner.ravel() == i)``, after their count)
+and the neighbor lists. A change meant to be byte-identical prints the same lines
 as its parent; a change to Lloyd's numerics alone moves the Lloyd digests, and
 the method-position partitions show that the partitions themselves did not
 change. The library is imported from ``src/`` next to this directory.
@@ -34,6 +35,8 @@ from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import numpy as np  # noqa: E402
 
 from gpcover import (build_scenario, compute_partition, config_from_dict, run,  # noqa: E402
                      run_lloyd_baseline)
@@ -73,7 +76,9 @@ def partition_digest(config, trace) -> str:
         part = compute_partition(positions, domain)
         digest.update(part.owner.tobytes())
         digest.update(part.dist2.tobytes())
-        for cell in part.cells:
+        flat_owner = part.owner.ravel()
+        for i in range(part.n_agents):
+            cell = np.flatnonzero(flat_owner == i)
             digest.update(len(cell).to_bytes(8, "little") + cell.tobytes())
         digest.update(repr(part.neighbors).encode())
     return digest.hexdigest()[:16]
