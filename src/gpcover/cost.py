@@ -165,16 +165,16 @@ def mass_centroid(partition: VoronoiPartition,
     One ``np.add.reduceat`` over ``partition.run_start`` sums ``field.values``
     per run, and one sums ``field.x_weighted``, the density times x, which
     the field builds once. Each run lies in one row, so its y moment is its
-    row's centre times its sum. ``np.bincount`` over the run owners folds the
-    runs into agents. ``pixel_area`` cancels in the centroid and stays out of
-    the sums, so they stay finite wherever the density's do; the returned
-    masses carry it. A cell whose mass is below ``_MASS_FLOOR`` falls back to
-    its geometric centre, the one case that builds cells. An empty cell has mass
-    0 and a NaN centroid. Returns the masses ``(n,)`` and the centroids
-    ``(n, 2)``.
+    row's centre times its sum. ``np.bincount`` over ``partition.run_owner``
+    folds the runs into agents. ``pixel_area`` cancels in the centroid and
+    stays out of the sums, so they stay finite wherever the density's do; the
+    returned masses carry it. A cell whose mass is below ``_MASS_FLOOR``
+    falls back to its geometric centre, the one case that builds cells. An
+    empty cell has mass 0 and a NaN centroid. Returns the masses ``(n,)`` and
+    the centroids ``(n, 2)``.
     """
     domain, n, run_start = field.domain, partition.n_agents, partition.run_start
-    run_owner = partition.owner.ravel()[run_start]
+    run_owner = partition.run_owner
     run_mass = np.add.reduceat(field.values.ravel(), run_start)
     run_x = np.add.reduceat(field.x_weighted.ravel(), run_start)
     run_y = domain.axis_centers()[1][run_start // domain.width] * run_mass
@@ -205,8 +205,22 @@ def cell_cost_report(cell: CellPixels, agent_pos, gp: SparseGP,
 def true_locational_cost(partition: VoronoiPartition, density: DensityField) -> float:
     """Ground-truth coverage cost of a configuration on the full pixel grid.
 
-    Integrates ``0.5 ||q - p_owner(q)||^2 phi(q)`` over the workspace, with
-    the squared distances the partition already holds (``partition.dist2``).
-    This is a privileged metric: agents never see the true density.
+    Integrates ``0.5 ||q - p_owner(q)||^2 phi(q)`` over the workspace from
+    per-run moments: one ``np.add.reduceat`` over ``partition.run_start``
+    each for ``density.values``, ``density.x_weighted`` and
+    ``density.u2_weighted``. A run lies in one row, so with its owner at
+    ``(pu, pv)`` and its row's centre at ``v`` its integral is ``S2 - 2 pu S1
+    + (pu^2 + (v - pv)^2) S0``. The moments are in pixel units, where they
+    stay finite wherever the density's sums do, and the sum is scaled to
+    world units last. This is a privileged metric: agents never see the
+    true density.
     """
-    return float(0.5 * np.sum(partition.dist2 * density.values) * density.domain.pixel_area)
+    domain = density.domain
+    run_start, scale = partition.run_start, 1.0 / domain.cell_size
+    mass = np.add.reduceat(density.values.ravel(), run_start)
+    first = np.add.reduceat(density.x_weighted.ravel(), run_start) * scale
+    second = np.add.reduceat(density.u2_weighted.ravel(), run_start)
+    pu, pv = (partition.positions * scale)[partition.run_owner].T
+    dv = run_start // domain.width + 0.5 - pv
+    total = float(np.sum(second - 2.0 * pu * first + (pu * pu + dv * dv) * mass))
+    return 0.5 * total * domain.pixel_area * domain.pixel_area

@@ -126,6 +126,13 @@ class DensityField:
         """The density times each pixel centre's x, built on first read: Lloyd's x moment."""
         return self.values * self.domain.axis_centers()[0]
 
+    @cached_property
+    def u2_weighted(self) -> np.ndarray:
+        """The density times each pixel centre's squared x in pixel units, ``(ix + 0.5)**2``,
+        built on first read: the true cost's second moment."""
+        u = np.arange(self.domain.width) + 0.5
+        return self.values * (u * u)
+
     @classmethod
     def from_mixture(cls, domain: Domain, mixture: GaussianMixture) -> "DensityField":
         xs, ys = domain.axis_centers()

@@ -4,29 +4,41 @@ The workspace is a rectangle discretized into square pixels. Ownership of a
 pixel goes to the nearest agent (measured at the pixel center), ties to the
 lowest agent index. Two agents are neighbors when their regions share at
 least one 4-adjacent pixel edge, which on a grid is the Delaunay relation.
+Pixel centres come from :meth:`Domain.axis_centers`.
 
-:func:`compute_partition` is the one place that measures pixel-to-agent
-distances; the partition keeps each pixel's squared distance to its owner
-for the locational cost. Pixel centres come from :meth:`Domain.axis_centers`.
+A pixel's owner is what a sweep gives: a running minimum over the agents, in
+index order, of the float sums ``s_i = dx2[i, x] + dy2[i, y]`` of per-agent
+squared offsets along each axis, taken over only by a strictly smaller sum.
+:func:`compute_partition` runs that sweep only near the bisectors. For agents
+j and k in row y, with ``a = 2 (px_k - px_j)``, midpoint ``m = (px_j + px_k)
+/ 2`` and ``delta = dy2[j, y] - dy2[k, y]``, the real difference of their
+squared distances is the line ``G(X) = a (X - m) + delta``. Each float sum is
+within about ``4u S`` of its real value, with ``u`` the unit roundoff and ``S
+= max dx2 + max dy2``, so ``s_j - s_k`` is within about ``10u S`` of ``G``.
+The margin ``M = 1e-9 S`` lies many orders of magnitude above that, so where
+``G < -M`` at a pixel centre, j's sum is strictly below k's. An agent's
+certain interval in a row is where this holds against every other agent:
+there it owns the pixel in any sweep. Each pair bounds it at ``m - (delta +
+M) / a``, where ``G = -M``: from the right when ``a > 0``, from the left when
+``a < 0``; when ``a = 0``, ``G = delta`` decides the whole row. The bound is
+computed in float. When ``a`` is tiny the quotient is large, and its rounding
+can put the bound off by many pixels; but that moves ``G`` by only about ``u
+S``, far below ``M``, so the bound stays where the winner is certain. Only
+its conversion to a pixel column can be off by a fraction of a pixel, which is
+why one slack pixel per side suffices. The intervals of a row are disjoint and
+appear in the agents' x order. The sweep runs on the band pixels between them,
+and merging both in flat order gives the owner runs: stretches of one owner in
+flat row-major order, split at every row end, so each run lies in one row.
+Where ``M`` is not finite, as a sum could overflow, or below the normal range,
+where rounding is no longer relative, every pixel is a band pixel.
 
-The distances come from per-agent squared offsets along each axis,
-``d2 = dx2[i, x] + dy2[i, y]``, in row blocks. A block skips agent ``j`` when
-``dx2[j, x] + min dy2[j]`` exceeds ``U(x) + margin`` at every column ``x``,
-where ``U(x) = min_k (dx2[k, x] + max dy2[k])`` over the block's rows and
-``margin = 1e-9 * (max dx2 + max dy2)``. Float addition rounds monotonically,
-so at every pixel of the block ``d2`` of ``j`` is at least its bound, which is
-above ``U(x)``, which is at least ``d2`` of the agent attaining it: that agent
-is strictly closer in the very sums the sweep compares, and the minimum, the
-owner and every tie come out as in a sweep over all agents. The margin sits
-many orders of magnitude above rounding and only makes skipping rarer; it is
-infinite, so that nothing is skipped, wherever a distance sum could overflow.
-The sweep keeps the owner runs: stretches of one owner in flat row-major order,
-split at every row end, so each run lies in one row. Per-cell sums such as
-Lloyd's moments (:func:`gpcover.cost.mass_centroid`) reduce over the runs, and
-the neighbor graph and every agent's bounding box are built from them on their
-first read. A cell (:func:`cell_pixels`) is its owner mask on its bounding box:
-cost integrals evaluate per-axis products on the box and gather them with the
-mask, which keeps the pixels in row-major order.
+Per-cell sums such as Lloyd's moments (:func:`gpcover.cost.mass_centroid`) and
+the true cost reduce over the runs; the neighbor graph and every agent's
+bounding box are built from them on their first read. A cell
+(:func:`cell_pixels`) is its owner mask on its bounding box, laid out from its
+runs: cost integrals evaluate per-axis products on the box and gather them
+with the mask, which keeps the pixels in row-major order. No round builds the
+``(H, W)`` owner grid; it is built from the runs when read.
 """
 
 from __future__ import annotations
@@ -37,11 +49,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigurationError, OutsideDomainError
-
-# compute_partition sweeps the grid in row blocks of about this many pixels,
-# so its per-agent distance and mask temporaries stay in cache
-_PARTITION_BLOCK_PIXELS = 32768
-
 
 @dataclass(frozen=True)
 class Domain:
@@ -97,33 +104,48 @@ class Domain:
 
 @dataclass(frozen=True, eq=False)
 class VoronoiPartition:
-    """Pixel ownership plus the neighbor graph it induces.
+    """Pixel ownership, as owner runs, plus the neighbor graph it induces.
 
-    ``owner`` is ``(H, W)`` with the winning agent index per pixel and
-    ``dist2`` is ``(H, W)`` with each pixel centre's squared distance to its
-    owner, ``(x - px)^2 + (y - py)^2``. ``run_start`` holds, increasing, the
-    flat index of the first pixel of each run of one owner in flat row-major
-    order; every row starts a run, so each run lies in one row. ``n_agents``
-    counts the agents, owners of a pixel or not. ``boxes[i]`` is agent i's
-    bounding box on the grid, ``(x0, y0, x1, y1)`` with exclusive ends, all 0
-    for an agent that owns no pixel. ``neighbors[i]`` is a sorted tuple of
-    adjacent agent indices and ``laplacian`` is the integer graph Laplacian
-    ``D - A`` of that relation. Boxes and graph are built from the runs on
-    first read.
+    ``positions`` is the ``(n, 2)`` array of the agents the pixels were
+    assigned to and ``shape`` the grid's ``(H, W)``. ``run_start`` holds,
+    increasing, the flat index of the first pixel of each run of one owner in
+    flat row-major order, and ``run_owner`` that owner; every row starts a
+    run, so each run lies in one row; ``run_end`` is the flat index one past
+    each run. ``owner`` is the ``(H, W)`` grid of the winning agent index per
+    pixel. ``boxes[i]`` is agent i's bounding box on the grid, ``(x0, y0, x1,
+    y1)`` with exclusive ends, all 0 for an agent that owns no pixel.
+    ``neighbors[i]`` is a sorted tuple of adjacent agent indices and
+    ``laplacian`` is the integer graph Laplacian ``D - A`` of that relation.
+    All of these are built from the runs on first read; the boxes and the
+    graph do not read the owner grid.
     """
 
-    owner: np.ndarray
-    dist2: np.ndarray
+    positions: np.ndarray
+    shape: tuple[int, int]
     run_start: np.ndarray
-    n_agents: int
+    run_owner: np.ndarray
+
+    @property
+    def n_agents(self) -> int:
+        """The number of agents, owners of a pixel or not."""
+        return len(self.positions)
+
+    @cached_property
+    def run_end(self) -> np.ndarray:
+        """The flat index one past each run's last pixel."""
+        return np.append(self.run_start[1:], self.shape[0] * self.shape[1])
+
+    @cached_property
+    def owner(self) -> np.ndarray:
+        return np.repeat(self.run_owner, self.run_end - self.run_start).reshape(self.shape)
 
     @cached_property
     def boxes(self) -> np.ndarray:
-        return _run_boxes(self.owner, self.run_start, self.n_agents)
+        return _run_boxes(self)
 
     @cached_property
     def neighbors(self) -> tuple[tuple[int, ...], ...]:
-        return _adjacent_pairs(self.owner, self.run_start, self.n_agents)
+        return _adjacent_pairs(self.run_start, self.run_owner, self.shape, self.n_agents)
 
     @cached_property
     def laplacian(self) -> np.ndarray:
@@ -181,137 +203,139 @@ class CellPixels:
 
 
 def compute_partition(positions, domain: Domain) -> VoronoiPartition:
-    """Assign every pixel to its nearest agent.
+    """Assign every pixel to its nearest agent, as owner runs.
 
-    Distances are compared between pixel centers and agent positions, exact
-    ties go to the lowest agent index, and the winning squared distances are
-    kept as ``dist2``. The running minimum over agents sweeps the grid in
-    row blocks of about ``_PARTITION_BLOCK_PIXELS`` pixels, from per-agent
-    squared offsets along each axis. Each block sweeps, in index order, only
-    the agents that can own one of its pixels; the first of them writes the
-    block's minimum and owner outright, since every pixel starts at infinity.
-    An agent is skipped when, at every column ``x``, the least of its sums
-    over the block's rows exceeds ``U(x) + margin``, with ``U(x)`` the least
-    over agents of their greatest sum in that column and ``margin = 1e-9 *
-    (max dx2 + max dy2)``. As float addition rounds monotonically, a skipped
-    agent is then strictly farther than some other agent at every pixel of the
-    block, so each pixel gets the same minimum, owner and tie as in one
-    full-grid pass over every agent, whatever the block size (see the module
-    docstring). The runs of one owner are found only in blocks that swept more
-    than one agent; elsewhere each row is one run. The bounding boxes and the
-    neighbor graph are left to the partition's first read of them.
-    Raises ``OutsideDomainError`` if any position falls outside the
-    workspace rectangle.
+    Distances are compared between pixel centers and agent positions, and
+    exact ties go to the lowest agent index: each pixel gets the owner of a
+    sweep that keeps a running minimum of ``dx2[i, x] + dy2[i, y]`` over all
+    agents in index order, with a strict compare. The sweep runs only on the
+    band pixels, those outside every agent's certain interval of their row
+    (:func:`_certain_intervals`, the module docstring's lemma), or on every
+    pixel when the margin is not usable. Merging the certain intervals with
+    the band pixels, in flat order, gives the runs; the owner grid, the
+    bounding boxes and the neighbor graph are left to the partition's first
+    read of them. Raises ``OutsideDomainError`` if any position falls outside
+    the workspace rectangle.
     """
-    pos = np.atleast_2d(np.asarray(positions, dtype=float))
+    pos = np.array(positions, dtype=float, ndmin=2)
     if pos.ndim != 2 or pos.shape[1] != 2 or len(pos) == 0:
         raise ValueError(f"positions must be a non-empty (n, 2) array, got shape {pos.shape}")
     for i, p in enumerate(pos):
         if not domain.contains(p):
             raise OutsideDomainError(f"agent {i} at ({p[0]}, {p[1]}) is outside the workspace")
 
-    # running minimum over agents; a later agent takes a pixel only when it
-    # is strictly closer, so exact ties stay with the lowest index
     xs, ys = domain.axis_centers()
     dx2 = (xs[None, :] - pos[:, :1]) ** 2
     dy2 = (ys[None, :] - pos[:, 1:]) ** 2
-    # far above the rounding of any sum below; infinite, so that nothing is
-    # skipped, when a distance sum could overflow
+    # far above the rounding of any sum below; where a sum could overflow or
+    # round below the normal range, every pixel goes to the sweep
     margin = 1e-9 * (dx2.max() + dy2.max())
     height, width = domain.height, domain.width
-    # best and owner share one allocation: glibc hands free heap top back to
-    # the system once it exceeds twice the largest block it has unmapped, and
-    # two 4 MB blocks per paper-scale partition crossed that line every round,
-    # then page-faulted back in; one block of both moves the line above them
-    pixels = height * width
-    grid = np.empty(pixels * (8 + np.dtype(np.intp).itemsize), dtype=np.uint8)
-    best = grid[:8 * pixels].view(np.float64).reshape(height, width)
-    owner = grid[8 * pixels:].view(np.intp).reshape(height, width)
-    rows = max(1, min(height, _PARTITION_BLOCK_PIXELS // width))
-    d2_buf = np.empty((rows, width))
-    closer_buf = np.empty(d2_buf.shape, dtype=bool)
-    blocks = []
-    for r0 in range(0, height, rows):
-        r1 = min(r0 + rows, height)
-        d2, closer = d2_buf[:r1 - r0], closer_buf[:r1 - r0]
-        best_rows, owner_rows = best[r0:r1], owner[r0:r1]
-        live = _live_agents(dx2, dy2[:, r0:r1], margin)
-        first = live[0]
-        np.add(dx2[first], dy2[first, r0:r1, None], out=best_rows)
-        owner_rows.fill(first)
-        for i in live[1:]:
-            np.add(dx2[i], dy2[i, r0:r1, None], out=d2)
-            np.less(d2, best_rows, out=closer)
-            np.minimum(best_rows, d2, out=best_rows)
-            np.copyto(owner_rows, i, where=closer)
-        blocks.append((r0, r1, live))
-    return VoronoiPartition(owner, best, _run_starts(owner, blocks), len(pos))
+    order = np.argsort(pos[:, 0], kind="stable")
+    if np.finfo(float).tiny <= margin < np.inf:
+        first, stop = _certain_intervals(pos[order, 0], dy2[order], margin, domain)
+    else:
+        first = stop = np.zeros((height, len(pos)), dtype=np.intp)
+    # each row, left to right, in slots: the gap before each agent's interval,
+    # the interval, and the row's last gap; a gap's pixels go to the sweep
+    held = first < stop
+    reach = np.maximum.accumulate(np.where(held, stop, 0), axis=1)
+    before = np.zeros_like(reach)
+    before[:, 1:] = reach[:, :-1]
+    slot_start = np.empty((height, 2 * len(pos) + 1), dtype=np.intp)
+    slot_start[:, :-1:2], slot_start[:, 1::2], slot_start[:, -1] = before, first, reach[:, -1]
+    count = np.empty_like(slot_start)
+    count[:, :-1:2], count[:, 1::2] = np.where(held, first, before) - before, held
+    count[:, -1] = width - reach[:, -1]
+    slot_owner = np.full(slot_start.shape, -1)
+    slot_owner[:, 1::2] = order
+    slot_start += np.arange(0, height * width, width)[:, None]
+    count = count.ravel()
+    start = np.repeat(slot_start.ravel() + count - np.cumsum(count), count)
+    start += np.arange(len(start))
+    owner = np.repeat(slot_owner.ravel(), count)
+    band = owner < 0
+    owner[band] = _sweep(dx2, dy2, start[band])
+    change = start % width == 0
+    change[1:] |= owner[1:] != owner[:-1]
+    return VoronoiPartition(pos, (height, width), start[change], owner[change])
 
 
-def _live_agents(dx2: np.ndarray, dy2: np.ndarray, margin: float) -> list[int]:
-    """The agents, in index order, that may own a pixel of one row block.
+def _certain_intervals(px: np.ndarray, dy2: np.ndarray, margin: float,
+                       domain: Domain) -> tuple[np.ndarray, np.ndarray]:
+    """Each agent's certain interval in each row, as ``(H, n)`` pixel columns ``[first, stop)``.
 
-    ``dx2`` is ``(n, W)`` and ``dy2`` the block's ``(n, rows)`` squared
-    offsets; the bound is the module docstring's. An agent that attains
-    ``U(x)`` never passes its own test, so one agent always remains.
+    The agents come sorted by their x, ``px``, with ``dy2`` their ``(n, H)``
+    squared row offsets. Pair ``(j, k)`` has ``a = 2 (px_k - px_j)``, midpoint
+    ``m`` and ``delta = dy2_j - dy2_k``; j beats k for sure where ``a (X - m) +
+    delta < -margin``, that is left of ``m - (delta + margin) / a`` when
+    ``a > 0``, right of it when ``a < 0``, and in the whole row or nowhere
+    when ``a == 0``. The bound is computed as one number and only then
+    clipped to the grid, so a pair nearly aligned in x moves it off the grid
+    rather than voiding the row.
+    Each side gives up one slack pixel; an empty interval has ``first >= stop``.
     """
-    reach = (dx2 + dy2.max(axis=1)[:, None]).min(axis=0)
-    reach += margin
-    lower = dx2 + dy2.min(axis=1)[:, None]
-    skip = np.greater(lower, reach).all(axis=1)
-    return np.flatnonzero(~skip).tolist()
+    n, width, size = len(px), domain.width, domain.cell_size
+    a = 2.0 * (px - px[:, None])
+    mid = (px + px[:, None]) * 0.5
+    delta = dy2.T[:, :, None] - dy2.T[:, None, :]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        edge = mid - (delta + margin) / a
+        upper = np.where(a > 0, edge, np.inf).min(axis=2)
+        lower = np.where(a < 0, edge, -np.inf).max(axis=2)
+        first = np.floor(lower / size - 0.5) + 2
+        stop = np.ceil(upper / size - 0.5) - 1
+    # an agent at the same x as another is sure of no pixel of a row unless
+    # its squared offset from that row is below the other's by over the margin
+    tied = (a == 0) & ~np.eye(n, dtype=bool)
+    if tied.any():
+        stop[(tied & ~(delta < -margin)).any(axis=2)] = 0
+    return np.clip(first, 0, width).astype(np.intp), np.clip(stop, 0, width).astype(np.intp)
 
 
-def _run_starts(owner: np.ndarray, blocks) -> np.ndarray:
-    """The flat starts of the owner runs, increasing, from the row blocks of the sweep.
-
-    ``blocks`` holds ``(r0, r1, live)``: a block's rows and its swept agents.
-    A run starts at every row start and wherever ``owner`` changes within a
-    row; a block swept by one agent has no change, so only its rows start runs.
-    """
-    width = owner.shape[1]
-    starts = []
-    for r0, r1, live in blocks:
-        if len(live) > 1:
-            # flat compares run at twice the speed of row-wise ones
-            block = owner[r0:r1].ravel()
-            change = np.empty(block.size, dtype=bool)
-            np.not_equal(block[1:], block[:-1], out=change[1:])
-            change[::width] = True
-            starts.append(np.flatnonzero(change) + r0 * width)
-        else:
-            starts.append(np.arange(r0 * width, r1 * width, width))
-    return np.concatenate(starts)
+def _sweep(dx2: np.ndarray, dy2: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """The nearest agent at the given flat pixels: a running minimum of ``dx2 +
+    dy2`` over all agents in index order, taken over by an agent only when it
+    is strictly closer, so exact ties stay with the lowest index."""
+    row, column = np.divmod(flat, dx2.shape[1])
+    best = dx2[0].take(column) + dy2[0].take(row)
+    owner = np.zeros(len(flat), dtype=np.intp)
+    for i in range(1, len(dx2)):
+        d2 = dx2[i].take(column)
+        d2 += dy2[i].take(row)
+        owner[d2 < best] = i
+        np.minimum(best, d2, out=best)
+    return owner
 
 
-def _run_boxes(owner: np.ndarray, run_start: np.ndarray, n: int) -> np.ndarray:
+def _run_boxes(partition: VoronoiPartition) -> np.ndarray:
     """Each agent's bounding box from its runs, ``(n, 4)`` rows ``(x0, y0, x1, y1)``
-    with exclusive ends; a run lies in one row and ends where the next one starts
-    or its row ends. An agent without runs gets ``(0, 0, 0, 0)``."""
-    run_owner = owner.ravel()[run_start]
-    row, column = np.divmod(run_start, owner.shape[1])
-    end = column + np.diff(run_start, append=owner.size)
-    boxes = np.zeros((n, 4), dtype=np.intp)
-    boxes[:, :2] = max(owner.shape)
+    with exclusive ends; a run lies in one row. An agent without runs gets
+    ``(0, 0, 0, 0)``."""
+    row, column = np.divmod(partition.run_start, partition.shape[1])
+    end = column + (partition.run_end - partition.run_start)
+    boxes = np.zeros((partition.n_agents, 4), dtype=np.intp)
+    boxes[:, :2] = max(partition.shape)
     for ufunc, corner, values in ((np.minimum, 0, column), (np.minimum, 1, row),
                                   (np.maximum, 2, end), (np.maximum, 3, row + 1)):
-        ufunc.at(boxes[:, corner], run_owner, values)
+        ufunc.at(boxes[:, corner], partition.run_owner, values)
     boxes[boxes[:, 2] == 0] = 0
     return boxes
 
 
-def _adjacent_pairs(owner: np.ndarray, run_start: np.ndarray,
+def _adjacent_pairs(run_start: np.ndarray, run_owner: np.ndarray, shape: tuple[int, int],
                     n: int) -> tuple[tuple[int, ...], ...]:
     # Compare each run start with its left, upper and lower pixel (off the
-    # grid: itself). Owners side by side differ at a run start. For a above b
-    # in rows r and r + 1, walk left while that holds: the walk ends at a run
-    # start in either row, at the latest at the rows' first pixels, which
-    # start runs. So every meeting pair is found.
-    width, flat = owner.shape[1], owner.ravel()
+    # grid: itself), whose owner is that of the run holding it. Owners side by
+    # side differ at a run start. For a above b in rows r and r + 1, walk left
+    # while that holds: the walk ends at a run start in either row, at the
+    # latest at the rows' first pixels, which start runs. So every meeting
+    # pair is found.
+    height, width = shape
     column = run_start % width
     near = np.stack([run_start - (column > 0), np.maximum(run_start - width, column),
-                     np.minimum(run_start + width, column + (flat.size - width))])
-    pair = flat[near] + flat[run_start] * n
+                     np.minimum(run_start + width, column + (height - 1) * width)])
+    pair = run_owner[np.searchsorted(run_start, near, side="right") - 1] + run_owner * n
     adjacent = np.bincount(pair.ravel(), minlength=n * n).reshape(n, n) > 0
     adjacent |= adjacent.T
     np.fill_diagonal(adjacent, False)
@@ -342,6 +366,20 @@ def laplacian_of(neighbors) -> np.ndarray:
 
 
 def cell_pixels(partition: VoronoiPartition, agent: int, domain: Domain) -> CellPixels:
-    """The pixels owned by ``agent``, as its owner mask on its bounding box."""
+    """The pixels owned by ``agent``, as its owner mask on its bounding box.
+
+    The mask is laid out from the agent's runs, which alternate in the box's
+    flat order with the gaps between them, so no owner grid is built.
+    """
     x0, y0, x1, y1 = partition.boxes[agent].tolist()
-    return CellPixels(partition.owner[y0:y1, x0:x1] == agent, x0, y0, domain)
+    mine = partition.run_owner == agent
+    start, end = partition.run_start[mine], partition.run_end[mine]
+    columns = x1 - x0
+    local = start - start // domain.width * (domain.width - columns) - (y0 * columns + x0)
+    edges = np.empty(2 * len(start) + 2, dtype=np.intp)
+    edges[0], edges[-1] = 0, (y1 - y0) * columns
+    edges[1:-1:2], edges[2:-1:2] = local, local + (end - start)
+    inside = np.zeros(len(edges) - 1, dtype=bool)
+    inside[1::2] = True
+    mask = np.repeat(inside, np.diff(edges)).reshape(y1 - y0, columns)
+    return CellPixels(mask, x0, y0, domain)

@@ -7,16 +7,15 @@ import math
 import numpy as np
 import pytest
 
-from gpcover import (Domain, Hyperparams, QuadratureSpec, SimConfig, SparseGP,
+from gpcover import (Domain, Hyperparams, QuadratureSpec, SimConfig, SparseGP, build_scenario,
                      cell_cost_report, cell_pixels, compute_partition, expected_cost,
                      kernel_matrix, mass_centroid, posterior_mean, run_lloyd_baseline,
                      true_locational_cost, variance_cost)
-from gpcover import geometry
 from gpcover.density import DensityField, GaussianBlob, GaussianMixture
 from gpcover.cost import _pair_nodes, _share, _strided_terms
 from gpcover.gp import _SERIAL_GEMM_MACS, _axis_factor
 
-from oracles import central_fd, cell_from_index, cell_index
+from oracles import brute_force_nearest, central_fd, cell_from_index, cell_index
 
 FULL = QuadratureSpec(single_stride=1, pair_budget=10_000, beta=0.0)
 
@@ -389,7 +388,7 @@ def test_mass_centroid_weights_toward_heavy_side():
     np.testing.assert_allclose(centroid, [[3.5, 0.5]])
 
 
-def test_mass_centroid_matches_exact_sums_over_each_cell(monkeypatch):
+def test_mass_centroid_matches_exact_sums_over_each_cell():
     # the run sums against math.fsum over every pixel of every cell
     rng = np.random.default_rng(23)
     parts = []
@@ -400,9 +399,7 @@ def test_mass_centroid_matches_exact_sums_over_each_cell(monkeypatch):
     one_pixel, strip = Domain(1, 1, cell_size=0.5), Domain(97, 1, cell_size=0.5)
     parts += [(one_pixel, compute_partition([[0.2, 0.3]], one_pixel)),
               (strip, compute_partition([[24.0, 0.25]], strip))]
-    # agents stacked in one column own whole rows: in blocks of 960 pixels (4
-    # rows) most blocks sweep one agent, and each row of such a block is a run
-    monkeypatch.setattr(geometry, "_PARTITION_BLOCK_PIXELS", 960)
+    # agents stacked in one column own whole rows, each row one run
     desk = Domain(240, 135)
     stacked = compute_partition(
         np.column_stack([np.full(5, 101.3), rng.uniform(0, 135, size=5)]), desk)
@@ -510,6 +507,75 @@ def test_true_cost_is_zero_for_zero_density():
     density = DensityField.constant(domain, 0.0)
     part = compute_partition([[3.0, 3.0]], domain)
     assert true_locational_cost(part, density) == 0.0
+
+
+def _fsum_true_cost(pos, density):
+    """``0.5 * sum ||q - p_owner(q)||^2 phi(q)`` by ``math.fsum`` over the
+    brute-force nearest squared distances, times the pixel area."""
+    domain = density.domain
+    _, dist2 = brute_force_nearest(pos, domain)
+    return 0.5 * math.fsum((dist2 * density.values).ravel().tolist()) * domain.pixel_area
+
+
+def _cost_layouts(rng, domain):
+    """Random, pixel-centre, pixel-corner, coincident and x-aligned positions."""
+    w, h, s = domain.world_width, domain.world_height, domain.cell_size
+    layouts = []
+    for n in (1, 2, 4, 9):
+        layouts += [rng.uniform([0, 0], [w, h], size=(n, 2)),
+                    (rng.integers(0, [domain.width, domain.height], size=(n, 2)) + 0.5) * s,
+                    rng.integers(0, [domain.width + 1, domain.height + 1], size=(n, 2)) * s]
+        spot = rng.uniform([0, 0], [w, h])
+        layouts.append(np.repeat(spot[None], n, axis=0))
+        for offset in (0.0, 1e-12 * s, 1e-6 * s, 0.5 * s):
+            x = np.minimum(rng.uniform(0, w) + offset * (np.arange(n) % 2), w)
+            layouts.append(np.column_stack([x, rng.uniform(0, h, size=n)]))
+    return layouts
+
+
+@pytest.mark.parametrize("width,height,cell_size",
+                         [(1, 1, 1.0), (17, 1, 1.0), (1, 13, 1.0), (31, 17, 0.37),
+                          (40, 23, 1e-3), (40, 23, 1e3), (96, 54, 1.0)])
+def test_true_cost_matches_the_fsum_oracle_on_adversarial_layouts(width, height, cell_size):
+    domain = Domain(width, height, cell_size)
+    rng = np.random.default_rng(width * 7 + height)
+    density = DensityField(domain, rng.uniform(0.0, 3.0, size=(height, width)))
+    zero = DensityField.constant(domain, 0.0)
+    for pos in _cost_layouts(rng, domain):
+        part = compute_partition(pos, domain)
+        assert true_locational_cost(part, density) == pytest.approx(
+            _fsum_true_cost(pos, density), rel=1e-12, abs=0)
+        assert true_locational_cost(part, zero) == 0.0
+
+
+@pytest.mark.parametrize("scenario", ["four_gaussians", "single_peak", "hotspots", "uniform"])
+def test_true_cost_matches_the_fsum_oracle_on_every_scenario(scenario):
+    domain = Domain(120, 68)
+    density = build_scenario(scenario, domain)
+    rng = np.random.default_rng(len(scenario))
+    # random layouts, and agents near the blobs' centres, where the cost is smallest
+    centres = [b.center for b in density.analytic.blobs] or [(60.0, 34.0)]
+    layouts = _cost_layouts(rng, domain)
+    for n in (1, 4, 12):
+        near = np.array(centres)[np.arange(n) % len(centres)] + rng.normal(0, 0.5, size=(n, 2))
+        layouts.append(np.clip(near, 0, [domain.world_width, domain.world_height]))
+    for pos in layouts:
+        part = compute_partition(pos, domain)
+        assert true_locational_cost(part, density) == pytest.approx(
+            _fsum_true_cost(pos, density), rel=1e-12, abs=0)
+
+
+def test_true_cost_is_inf_not_nan_where_the_distance_sum_overflows():
+    rng = np.random.default_rng(9)
+    for cell_size in (1e150, 1e153):
+        domain = Domain(40, 23, cell_size)
+        density = DensityField(domain, rng.uniform(0.5, 3.0, size=(23, 40)))
+        pos = rng.uniform([0, 0], [domain.world_width, domain.world_height], size=(3, 2))
+        # the grid product's sum, as the cost once took it, overflows
+        _, dist2 = brute_force_nearest(pos, domain)
+        with np.errstate(over="ignore"):
+            assert 0.5 * np.sum(dist2 * density.values) * domain.pixel_area == np.inf
+            assert true_locational_cost(compute_partition(pos, domain), density) == np.inf
 
 
 def test_quadrature_spec_validates_bounds():

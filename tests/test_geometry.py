@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -11,9 +12,8 @@ from hypothesis import given, settings, strategies as st
 from gpcover import (Domain, OutsideDomainError, SimConfig, cell_pixels, compute_partition,
                      laplacian_of, run, run_lloyd_baseline)
 from gpcover import geometry
-from gpcover.geometry import _PARTITION_BLOCK_PIXELS
 
-from oracles import brute_force_nearest, brute_force_owner, cell_index
+from oracles import brute_force_owner, cell_index
 
 
 def test_single_agent_owns_everything():
@@ -58,10 +58,17 @@ def test_matches_brute_force_oracle_on_seeded_configs():
                 [[3.3, 7.1], [15.0, 2.0], [3.3, 7.1]]]
     for pos in configs:
         part = compute_partition(pos, domain)
-        owner, dist2 = brute_force_nearest(pos, domain)
+        owner = brute_force_owner(pos, domain)
         np.testing.assert_array_equal(part.owner, owner)
-        # the kept running minimum is the exact nearest squared distance, ties included
-        np.testing.assert_array_equal(part.dist2, dist2)
+        np.testing.assert_array_equal(part.run_start, _oracle_run_starts(owner))
+        np.testing.assert_array_equal(part.run_owner, owner.ravel()[part.run_start])
+
+
+def _oracle_run_starts(owner):
+    """Every row start and every flat index where the owner changes, increasing."""
+    flat = owner.ravel()
+    changes = np.flatnonzero(flat[1:] != flat[:-1]) + 1
+    return np.union1d(changes, np.arange(0, flat.size, owner.shape[1]))
 
 
 def _oracle_neighbors(owner, n):
@@ -78,11 +85,10 @@ def _oracle_neighbors(owner, n):
 
 
 def test_matches_brute_force_oracle_across_row_blocks():
-    # wide enough that the sweep takes three row blocks, the last one partial
+    # a wide grid; two of its agents meet at one pixel edge between rows 7 and 8
     rows = 8
-    domain = Domain(_PARTITION_BLOCK_PIXELS // rows, 2 * rows + 3)
-    assert _PARTITION_BLOCK_PIXELS // domain.width == rows
-    w, b = domain.world_width, float(rows)  # b: the world y of the first block boundary
+    domain = Domain(4096, 2 * rows + 3)
+    w, b = domain.world_width, float(rows)  # b: the world y between rows 7 and 8
     rng = np.random.default_rng(7)
     # agents 0 and 1 meet at one pixel edge, across the block boundary, between
     # agents 2 and 3, which hold the columns on either side
@@ -99,9 +105,9 @@ def test_matches_brute_force_oracle_across_row_blocks():
     ]
     for pos in configs:
         part = compute_partition(pos, domain)
-        owner, dist2 = brute_force_nearest(pos, domain)
+        owner = brute_force_owner(pos, domain)
         np.testing.assert_array_equal(part.owner, owner)
-        np.testing.assert_array_equal(part.dist2, dist2)
+        np.testing.assert_array_equal(part.run_start, _oracle_run_starts(owner))
         _assert_cells_are_tight_owner_masks(part, owner, domain)
         assert part.neighbors == _oracle_neighbors(owner, len(pos))
     shared = [((iy, ix), (jy, jx)) for iy in range(domain.height) for ix in range(domain.width)
@@ -247,10 +253,11 @@ def test_neighbors_match_the_pixel_pair_oracle_on_thin_grids(width, height):
 _PAPER_START = [[297.6, 151.2], [652.8, 178.2], [326.4, 383.4], [633.6, 372.6]]
 
 
-def _full_sweep(positions, domain, block_pixels=_PARTITION_BLOCK_PIXELS):
-    """Every agent over every row block, with neighbors from full-grid scans.
+def _full_sweep(positions, domain, block_pixels=32768):
+    """Every agent over every pixel, in row blocks of about ``block_pixels``
+    pixels, with neighbors from full-grid scans.
 
-    The sweep as it stood before blocks skipped agents: a running minimum from
+    The plain sweep, which skips nothing: a running minimum from
     infinity over all agents in index order, a strict compare, owner 0 to start.
     """
     pos = np.atleast_2d(np.asarray(positions, dtype=float))
@@ -275,15 +282,16 @@ def _full_sweep(positions, domain, block_pixels=_PARTITION_BLOCK_PIXELS):
     for i, j in np.unique(np.sort(pairs, axis=0), axis=1).T.tolist():
         adj[i].add(j)
         adj[j].add(i)
-    return owner, best, tuple(tuple(sorted(a)) for a in adj)
+    return owner, tuple(tuple(sorted(a)) for a in adj)
 
 
-def _assert_matches_full_sweep(pos, domain, block_pixels=_PARTITION_BLOCK_PIXELS):
+def _assert_matches_full_sweep(pos, domain, block_pixels=32768):
     part = compute_partition(pos, domain)
-    owner, dist2, neighbors = _full_sweep(pos, domain, block_pixels)
-    assert part.owner.dtype == np.intp
+    owner, neighbors = _full_sweep(pos, domain, block_pixels)
+    assert part.owner.dtype == part.run_start.dtype == part.run_owner.dtype == np.intp
     np.testing.assert_array_equal(part.owner, owner)
-    assert part.dist2.tobytes() == dist2.tobytes()
+    np.testing.assert_array_equal(part.run_start, _oracle_run_starts(owner))
+    np.testing.assert_array_equal(part.run_owner, owner.ravel()[part.run_start])
     _assert_cells_are_tight_owner_masks(part, owner, domain)
     assert part.neighbors == neighbors
 
@@ -291,7 +299,8 @@ def _assert_matches_full_sweep(pos, domain, block_pixels=_PARTITION_BLOCK_PIXELS
 def _layouts(rng, domain, n):
     """Random, grid-aligned (exact ties), coincident and column-stacked positions of n agents.
 
-    Agents stacked in one column own whole rows, so row blocks can sweep a single agent.
+    Agents stacked in one column own whole rows, and their rows are decided
+    by their y alone.
     """
     w, h, s = domain.world_width, domain.world_height, domain.cell_size
     grid = rng.integers(0, [2 * domain.width + 1, 2 * domain.height + 1], size=(n, 2)) * 0.5 * s
@@ -301,66 +310,98 @@ def _layouts(rng, domain, n):
             spots[rng.integers(0, len(spots), size=n)], column]
 
 
-def test_pruned_sweep_matches_the_full_sweep_where_blocks_skip_agents(monkeypatch):
-    live_counts = []
-    live_agents = geometry._live_agents
+def _aligned_pairs(rng, domain, n):
+    """Agents in pairs that are aligned or nearly aligned in x, one layout per offset.
 
-    def counted(*args):
-        live = live_agents(*args)
-        live_counts.append((len(live), len(args[0])))
-        return live
+    The offsets are 0, one ulp, ``1e-12``, ``1e-6`` and ``0.5`` pixels; the
+    pairs' y are random, on pixel centres or on pixel corners.
+    """
+    w, h, s = domain.world_width, domain.world_height, domain.cell_size
+    layouts = []
+    for offset in (0.0, None, 1e-12 * s, 1e-6 * s, 0.5 * s):
+        left = rng.uniform(0, w, size=(n + 1) // 2)
+        right = np.nextafter(left, np.inf) if offset is None else left + offset
+        x = np.minimum(np.stack([left, right], axis=1).ravel()[:n], w)
+        for y in (rng.uniform(0, h, size=n),
+                  (rng.integers(0, domain.height, size=n) + 0.5) * s,
+                  rng.integers(0, domain.height + 1, size=n) * s):
+            layouts.append(np.column_stack([x, np.minimum(y, h)]))
+    return layouts
 
-    monkeypatch.setattr(geometry, "_live_agents", counted)
+
+def test_certain_intervals_match_the_full_sweep_and_leave_few_band_pixels(monkeypatch):
+    band_sizes = []
+    sweep = geometry._sweep
+
+    def counted(dx2, dy2, flat):
+        band_sizes.append(len(flat))
+        return sweep(dx2, dy2, flat)
+
+    monkeypatch.setattr(geometry, "_sweep", counted)
     rng = np.random.default_rng(3)
     paper = Domain(960, 540)
-    for pos in [_PAPER_START, *_layouts(rng, paper, 4), *_layouts(rng, paper, 13)]:
+    for pos in [_PAPER_START, *_layouts(rng, paper, 4), *_layouts(rng, paper, 13),
+                *_aligned_pairs(rng, paper, 4)]:
         _assert_matches_full_sweep(pos, paper)
-    # the paper start sweeps 37 of its 64 agent-blocks
-    live_counts.clear()
+    # the paper start sums distances at 1,292 of its 518,400 pixels
+    band_sizes.clear()
     compute_partition(_PAPER_START, paper)
-    assert sum(live for live, _ in live_counts) == 37 and len(live_counts) == 16
-    # a desk-sized grid in blocks of 960 pixels (4 rows each)
-    monkeypatch.setattr(geometry, "_PARTITION_BLOCK_PIXELS", 960)
+    assert band_sizes == [1292]
+    # pairs that are nearly aligned in x keep their rows' intervals: at 1e-6
+    # pixels apart, two agents split the rows by y alone, as at 0
+    for offset in (0.0, 1e-6):
+        band_sizes.clear()
+        compute_partition([[300.0, 100.0], [300.0 + offset, 400.0]], paper)
+        assert band_sizes[0] <= 4 * paper.width
     desk = Domain(240, 135)
-    live_counts.clear()
     for n in (2, 5, 12, 30):
-        for pos in _layouts(rng, desk, n):
+        for pos in _layouts(rng, desk, n) + _aligned_pairs(rng, desk, n):
             _assert_matches_full_sweep(pos, desk, 960)
-    assert sum(live for live, _ in live_counts) < sum(n for _, n in live_counts)
 
 
 @pytest.mark.parametrize("width,height,cell_size",
                          [(1, 9, 1.0), (9, 1, 1.0), (1, 1, 1.0), (31, 17, 0.37),
-                          (40, 23, 1e-3), (40, 23, 1e3)])
-@pytest.mark.parametrize("block_pixels", [_PARTITION_BLOCK_PIXELS, 40, 7])
+                          (40, 23, 1e-3), (40, 23, 1e3), (40, 23, 1e150), (40, 23, 1e153)])
+@pytest.mark.parametrize("block_pixels", [32768, 40, 7])
 def test_pruned_sweep_matches_the_full_sweep_on_small_and_scaled_grids(
-        monkeypatch, width, height, cell_size, block_pixels):
-    monkeypatch.setattr(geometry, "_PARTITION_BLOCK_PIXELS", block_pixels)
+        width, height, cell_size, block_pixels):
+    # block_pixels sets the oracle sweep's row blocks; at cell size 1e153 the
+    # margin is infinite, as a distance sum could overflow, so every pixel is swept
     domain = Domain(width, height, cell_size)
     rng = np.random.default_rng(width * 1009 + height)
     for n in range(1, 31, 3):
-        for pos in _layouts(rng, domain, n):
+        for pos in _layouts(rng, domain, n) + _aligned_pairs(rng, domain, n):
             _assert_matches_full_sweep(pos, domain, block_pixels)
 
 
 def test_lloyd_baseline_never_builds_the_neighbor_graph(monkeypatch):
-    calls = {"_adjacent_pairs": [], "CellPixels": []}
-    for name, log in calls.items():
-        def spy(*args, _original=getattr(geometry, name), _log=log):
+    calls = {"_adjacent_pairs": [], "CellPixels": [], "owner": []}
+    for name in ("_adjacent_pairs", "CellPixels"):
+        def spy(*args, _original=getattr(geometry, name), _log=calls[name]):
             _log.append(args)
             return _original(*args)
 
         monkeypatch.setattr(geometry, name, spy)
+
+    def owner(part, _original=geometry.VoronoiPartition.owner.func):
+        calls["owner"].append(part)
+        return _original(part)
+
+    owner_grid = cached_property(owner)
+    owner_grid.__set_name__(geometry.VoronoiPartition, "owner")
+    monkeypatch.setattr(geometry.VoronoiPartition, "owner", owner_grid)
     # hotspots' background of 20 gives every cell mass, so Lloyd never falls
-    # back to a cell's geometric centre and never builds a cell either
+    # back to a cell's geometric centre and never builds a cell, nor the owner grid
     config = SimConfig(width=48, height=27, n_agents=3, rounds=3, seed=2, scenario="hotspots")
     run_lloyd_baseline(config)
-    assert calls == {"_adjacent_pairs": [], "CellPixels": []}
+    assert calls == {"_adjacent_pairs": [], "CellPixels": [], "owner": []}
     # the method reads the graph every round and builds every agent's cell,
-    # but never those of the partition after its last move
+    # but never those of the partition after its last move; cells and graph
+    # come from the runs, so it never builds an owner grid either
     run(config)
     assert len(calls["_adjacent_pairs"]) == config.rounds
     assert len(calls["CellPixels"]) == config.rounds * config.n_agents
+    assert calls["owner"] == []
 
 
 def test_neighbor_graph_is_built_on_first_read_and_matches_the_oracle():
@@ -369,33 +410,33 @@ def test_neighbor_graph_is_built_on_first_read_and_matches_the_oracle():
     for n in (1, 2, 4, 9):
         for pos in _layouts(rng, domain, n):
             part = compute_partition(pos, domain)
-            assert not {"boxes", "neighbors", "laplacian"} & set(vars(part))
+            assert not {"owner", "boxes", "neighbors", "laplacian"} & set(vars(part))
             oracle = _oracle_neighbors(part.owner, n)
             np.testing.assert_array_equal(part.laplacian, laplacian_of(oracle))
             assert part.neighbors == oracle
             # built once: later reads return the same objects
             assert part.neighbors is part.neighbors and part.laplacian is part.laplacian
-            assert part.boxes is part.boxes
+            assert part.boxes is part.boxes and part.owner is part.owner
 
 
-@pytest.mark.parametrize("block_pixels", [_PARTITION_BLOCK_PIXELS, 40])
-def test_run_starts_mark_every_owner_change_in_flat_order(monkeypatch, block_pixels):
-    monkeypatch.setattr(geometry, "_PARTITION_BLOCK_PIXELS", block_pixels)
+@pytest.mark.parametrize("block_pixels", [32768, 40])
+def test_run_starts_mark_every_owner_change_in_flat_order(block_pixels):
+    # block_pixels sets the oracle sweep's row blocks
     small = Domain(30, 19)
     rng = np.random.default_rng(11)
     cases = [(Domain(960, 540), _PAPER_START)]
-    cases += [(small, pos) for n in (1, 2, 4, 9) for pos in _layouts(rng, small, n)]
+    cases += [(small, pos) for n in (1, 2, 4, 9)
+              for pos in _layouts(rng, small, n) + _aligned_pairs(rng, small, n)]
     for domain, pos in cases:
         part = compute_partition(pos, domain)
-        flat = part.owner.ravel()
-        changes = np.flatnonzero(flat[1:] != flat[:-1]) + 1
+        owner = _full_sweep(pos, domain, block_pixels)[0]
         # runs start, in increasing order, exactly where the owner changes and
         # at every row start, row 0's included
-        row_starts = np.arange(0, flat.size, domain.width)
         assert part.run_start.dtype == np.intp
-        np.testing.assert_array_equal(part.run_start, np.union1d(changes, row_starts))
-        # the bounding boxes come from the runs
-        _assert_cells_are_tight_owner_masks(part, part.owner, domain)
+        np.testing.assert_array_equal(part.run_start, _oracle_run_starts(owner))
+        np.testing.assert_array_equal(part.run_owner, owner.ravel()[part.run_start])
+        # the owner grid and the bounding boxes come from the runs
+        _assert_cells_are_tight_owner_masks(part, owner, domain)
 
 
 @pytest.mark.parametrize("height,width", [(3, 3), (2, 4), (4, 2)])
@@ -404,4 +445,6 @@ def test_run_starts_alone_find_every_pair_on_any_three_owner_grid(height, width)
     for labels in itertools.product(range(3), repeat=height * width):
         owner = np.array(labels, dtype=np.intp).reshape(height, width)
         run_start = np.flatnonzero(np.diff(owner.ravel(), prepend=-1))
-        assert geometry._adjacent_pairs(owner, run_start, 3) == _oracle_neighbors(owner, 3), owner
+        run_owner = owner.ravel()[run_start]
+        assert geometry._adjacent_pairs(run_start, run_owner, owner.shape, 3) == \
+            _oracle_neighbors(owner, 3), owner

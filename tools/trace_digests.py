@@ -2,22 +2,25 @@
 
     python3 tools/trace_digests.py
 
-Runs each workload of ``perfbench/workloads.py`` on seeds 1 and 2 at its
+Runs each workload of ``perfbench/workloads.py`` on seeds 1-13 at its
 benchmark length, for the method and for the Lloyd baseline, at one BLAS
 thread, and prints one line per workload and seed with the first 16 hex
-digits of each trace CSV's sha256: the method's, then the method's path
-digest (the same CSV with its ``rmse`` column dropped), then Lloyd's. A
-change that moves only the rmse metric keeps every path digest. Before a
-workload's seeds it prints the same prefix of its rasterized density's bytes
-(``build_scenario(...).values.tobytes()``), and after them the prefixes of
-two digests of partitions: at every position of seed 1's Lloyd trace and at
-every position of seed 1's method trace, each start included. Each digest
-covers every partition's ``owner`` and ``dist2`` bytes, every agent's sorted
-flat pixel indices (``np.flatnonzero(owner.ravel() == i)``, after their count)
-and the neighbor lists. A change meant to be byte-identical prints the same lines
-as its parent; a change to Lloyd's numerics alone moves the Lloyd digests, and
-the method-position partitions show that the partitions themselves did not
-change. The library is imported from ``src/`` next to this directory.
+digits of sha256 digests of the trace CSVs: the method's CSV, its path digest
+(the CSV with its ``rmse`` column dropped) and Lloyd's CSV, then the positions
+digests of the method and of Lloyd (the CSV with its ``rmse`` and
+``true_cost`` columns dropped). A change that moves only the rmse metric keeps
+every path digest, and one that moves only the metrics keeps every positions
+digest. Before a workload's seeds it prints the same prefix of its rasterized
+density's bytes (``build_scenario(...).values.tobytes()``), and after them the
+prefixes of two digests of partitions: at every position of seed 1's Lloyd
+trace and at every position of seed 1's method trace, each start included.
+Each digest covers every partition's ``owner`` bytes and ``run_start``, every
+agent's sorted flat pixel indices (``np.flatnonzero(owner.ravel() == i)``,
+after their count) and the neighbor lists. A change meant to be byte-identical
+prints the same lines as its parent; a change to Lloyd's numerics alone moves
+the Lloyd digests, and the method-position partitions show that the
+partitions themselves did not change. The library is imported from ``src/``
+next to this directory.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from gpcover import (build_scenario, compute_partition, config_from_dict, run,  
 from gpcover.sim import CSV_FIXED_COLUMNS  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
-SEEDS = (1, 2)
+SEEDS = range(1, 14)
 
 
 def _digest(data: bytes) -> str:
@@ -57,11 +60,11 @@ def csv_bytes(trace) -> bytes:
         return path.read_bytes()
 
 
-def path_bytes(csv: bytes) -> bytes:
-    """The trace CSV without its ``rmse`` column."""
-    col = CSV_FIXED_COLUMNS.index("rmse")
+def drop_columns(csv: bytes, *names: str) -> bytes:
+    """The trace CSV without the named columns."""
+    cols = {CSV_FIXED_COLUMNS.index(name) for name in names}
     rows = [line.split(b",") for line in csv.split(b"\n")]
-    return b"\n".join(b",".join(row[:col] + row[col + 1:]) for row in rows)
+    return b"\n".join(b",".join(v for c, v in enumerate(row) if c not in cols) for row in rows)
 
 
 def raster_digest(config) -> str:
@@ -75,7 +78,7 @@ def partition_digest(config, trace) -> str:
     for positions in [trace.initial_positions, *trace.positions]:
         part = compute_partition(positions, domain)
         digest.update(part.owner.tobytes())
-        digest.update(part.dist2.tobytes())
+        digest.update(part.run_start.tobytes())
         flat_owner = part.owner.ravel()
         for i in range(part.n_agents):
             cell = np.flatnonzero(flat_owner == i)
@@ -93,9 +96,11 @@ def main() -> int:
             lloyd, method = run_lloyd_baseline(cfg), run(cfg)
             if seed == SEEDS[0]:
                 partitions = [partition_digest(cfg, trace) for trace in (lloyd, method)]
-            csv = csv_bytes(method)
+            csv, lloyd_csv = csv_bytes(method), csv_bytes(lloyd)
+            positions = [_digest(drop_columns(c, "rmse", "true_cost")) for c in (csv, lloyd_csv)]
             print(f"{name} seed {seed}: method {_digest(csv)} path "
-                  f"{_digest(path_bytes(csv))} lloyd {_digest(csv_bytes(lloyd))}", flush=True)
+                  f"{_digest(drop_columns(csv, 'rmse'))} lloyd {_digest(lloyd_csv)} positions "
+                  f"method {positions[0]} lloyd {positions[1]}", flush=True)
         print(f"{name} partitions: lloyd {partitions[0]} method {partitions[1]}", flush=True)
     return 0
 
