@@ -10,7 +10,7 @@ from .density import (DensityField, GaussianBlob, GaussianMixture, bilinear,
 from .errors import (ConfigurationError, DecentralizationError, GPCoverError,
                      OutsideDomainError, SingularityError)
 from .geometry import (CellPixels, Domain, VoronoiPartition, cell_pixels,
-                       compute_partition, laplacian_of)
+                       compute_partition)
 from .gp import (Hyperparams, SparseGP, greedy_select, kernel_matrix, log_marginal_likelihood,
                  merge_inducing, posterior, posterior_mean, refit_hyperparams, smw_extend)
 from .sim import (AccessAudit, AgentState, SimTrace, initial_positions, run,
@@ -27,7 +27,7 @@ __all__ = [
     "SimConfig", "SimTrace", "SingularityError", "SparseGP", "VoronoiPartition",
     "bilinear", "build_scenario", "cell_cost_report", "cell_pixels",
     "compute_partition", "config_from_dict", "consensus_step", "expected_cost",
-    "greedy_select", "initial_positions", "kernel_matrix", "laplacian_of",
+    "greedy_select", "initial_positions", "kernel_matrix",
     "log_marginal_likelihood", "mass_centroid", "merge_inducing", "plateau_detected",
     "posterior", "posterior_mean", "record_std", "refit_hyperparams", "run",
     "run_batch", "run_lloyd_baseline", "sample_density", "smw_extend", "step",

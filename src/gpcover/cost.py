@@ -162,21 +162,20 @@ def mass_centroid(partition: VoronoiPartition,
                   field: DensityField) -> tuple[np.ndarray, np.ndarray]:
     """Every cell's mass and centroid under ``field``, summed over the owner runs.
 
-    One ``np.add.reduceat`` over ``partition.run_start`` sums ``field.values``
-    per run, and one sums ``field.x_weighted``, the density times x, which
-    the field builds once. Each run lies in one row, so its y moment is its
-    row's centre times its sum. ``np.bincount`` over ``partition.run_owner``
-    folds the runs into agents. ``pixel_area`` cancels in the centroid and
-    stays out of the sums, so they stay finite wherever the density's do; the
-    returned masses carry it. A cell whose mass is below ``_MASS_FLOOR``
-    falls back to its geometric centre, the one case that builds cells. An
-    empty cell has mass 0 and a NaN centroid. Returns the masses ``(n,)`` and
-    the centroids ``(n, 2)``.
+    The per-run sums of ``field.values`` and of ``field.x_weighted``, the
+    density times x, are the partition's :meth:`~VoronoiPartition.run_sums`,
+    which Lloyd's true cost of the same partition has already taken. Each run
+    lies in one row, so its y moment is its row's centre times its sum.
+    ``np.bincount`` over ``partition.run_owner`` folds the runs into agents.
+    ``pixel_area`` cancels in the centroid and stays out of the sums, so they
+    stay finite wherever the density's do; the returned masses carry it. A
+    cell whose mass is below ``_MASS_FLOOR`` falls back to its geometric
+    centre, the one case that builds cells. An empty cell has mass 0 and a NaN
+    centroid. Returns the masses ``(n,)`` and the centroids ``(n, 2)``.
     """
     domain, n, run_start = field.domain, partition.n_agents, partition.run_start
     run_owner = partition.run_owner
-    run_mass = np.add.reduceat(field.values.ravel(), run_start)
-    run_x = np.add.reduceat(field.x_weighted.ravel(), run_start)
+    run_mass, run_x = partition.run_sums(field)
     run_y = domain.axis_centers()[1][run_start // domain.width] * run_mass
     mass, mx, my = (np.bincount(run_owner, w, minlength=n) for w in (run_mass, run_x, run_y))
     area_mass = mass * domain.pixel_area
@@ -206,19 +205,20 @@ def true_locational_cost(partition: VoronoiPartition, density: DensityField) -> 
     """Ground-truth coverage cost of a configuration on the full pixel grid.
 
     Integrates ``0.5 ||q - p_owner(q)||^2 phi(q)`` over the workspace from
-    per-run moments: one ``np.add.reduceat`` over ``partition.run_start``
-    each for ``density.values``, ``density.x_weighted`` and
-    ``density.u2_weighted``. A run lies in one row, so with its owner at
-    ``(pu, pv)`` and its row's centre at ``v`` its integral is ``S2 - 2 pu S1
-    + (pu^2 + (v - pv)^2) S0``. The moments are in pixel units, where they
-    stay finite wherever the density's sums do, and the sum is scaled to
-    world units last. This is a privileged metric: agents never see the
-    true density.
+    per-run moments: the partition's :meth:`~VoronoiPartition.run_sums` of
+    ``density.values`` and ``density.x_weighted``, which Lloyd's next
+    :func:`mass_centroid` reads again, and one ``np.add.reduceat`` over
+    ``partition.run_start`` for ``density.u2_weighted``. A run lies in one
+    row, so with its owner at ``(pu, pv)`` and its row's centre at ``v`` its
+    integral is ``S2 - 2 pu S1 + (pu^2 + (v - pv)^2) S0``. The moments are
+    in pixel units, where they stay finite wherever the density's sums do,
+    and the sum is scaled to world units last. This is a privileged metric:
+    agents never see the true density.
     """
     domain = density.domain
     run_start, scale = partition.run_start, 1.0 / domain.cell_size
-    mass = np.add.reduceat(density.values.ravel(), run_start)
-    first = np.add.reduceat(density.x_weighted.ravel(), run_start) * scale
+    mass, first = partition.run_sums(density)
+    first = first * scale
     second = np.add.reduceat(density.u2_weighted.ravel(), run_start)
     pu, pv = (partition.positions * scale)[partition.run_owner].T
     dv = run_start // domain.width + 0.5 - pv

@@ -32,13 +32,16 @@ flat row-major order, split at every row end, so each run lies in one row.
 Where ``M`` is not finite, as a sum could overflow, or below the normal range,
 where rounding is no longer relative, every pixel is a band pixel.
 
-Per-cell sums such as Lloyd's moments (:func:`gpcover.cost.mass_centroid`) and
-the true cost reduce over the runs; the neighbor graph and every agent's
-bounding box are built from them on their first read. A cell
-(:func:`cell_pixels`) is its owner mask on its bounding box, laid out from its
-runs: cost integrals evaluate per-axis products on the box and gather them
-with the mask, which keeps the pixels in row-major order. No round builds the
-``(H, W)`` owner grid; it is built from the runs when read.
+Every view of a partition is read from its runs. Per-cell sums such as
+Lloyd's moments (:func:`gpcover.cost.mass_centroid`) and the true cost reduce
+the density over them, once per partition and field
+(:meth:`VoronoiPartition.run_sums`). The neighbor graph is one boolean
+adjacency matrix, built from the runs on its first read; the neighbor lists,
+the edges and the Laplacian are read from it. A cell (:func:`cell_pixels`) is
+its owner mask on its bounding box, both taken from the agent's own runs:
+cost integrals evaluate per-axis products on the box and gather them with the
+mask, which keeps the pixels in row-major order. No round builds the ``(H,
+W)`` owner grid; it is built from the runs when read.
 """
 
 from __future__ import annotations
@@ -112,12 +115,12 @@ class VoronoiPartition:
     flat row-major order, and ``run_owner`` that owner; every row starts a
     run, so each run lies in one row; ``run_end`` is the flat index one past
     each run. ``owner`` is the ``(H, W)`` grid of the winning agent index per
-    pixel. ``boxes[i]`` is agent i's bounding box on the grid, ``(x0, y0, x1,
-    y1)`` with exclusive ends, all 0 for an agent that owns no pixel.
-    ``neighbors[i]`` is a sorted tuple of adjacent agent indices and
-    ``laplacian`` is the integer graph Laplacian ``D - A`` of that relation.
-    All of these are built from the runs on first read; the boxes and the
-    graph do not read the owner grid.
+    pixel. ``adjacency`` is the ``(n, n)`` boolean adjacency matrix of the
+    neighbor graph, and the graph's other forms are read from it:
+    ``neighbors[i]`` is a sorted tuple of the agents adjacent to i,
+    :meth:`edges` lists the adjacent pairs, and ``laplacian`` is the integer
+    graph Laplacian ``D - A``. All of these are built on first read; the
+    graph comes from the runs, not from the owner grid.
     """
 
     positions: np.ndarray
@@ -140,20 +143,39 @@ class VoronoiPartition:
         return np.repeat(self.run_owner, self.run_end - self.run_start).reshape(self.shape)
 
     @cached_property
-    def boxes(self) -> np.ndarray:
-        return _run_boxes(self)
-
-    @cached_property
-    def neighbors(self) -> tuple[tuple[int, ...], ...]:
+    def adjacency(self) -> np.ndarray:
         return _adjacent_pairs(self.run_start, self.run_owner, self.shape, self.n_agents)
 
     @cached_property
+    def neighbors(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(np.flatnonzero(row).tolist()) for row in self.adjacency)
+
+    @cached_property
     def laplacian(self) -> np.ndarray:
-        return laplacian_of(self.neighbors)
+        return np.diag(self.adjacency.sum(axis=1)) - self.adjacency.astype(np.int64)
 
     def edges(self) -> list[tuple[int, int]]:
-        """Undirected neighbor pairs ``(i, j)`` with ``i < j``."""
-        return [(i, j) for i, nbrs in enumerate(self.neighbors) for j in nbrs if i < j]
+        """Undirected neighbor pairs ``(i, j)`` with ``i < j``, in row-major order."""
+        return list(zip(*(index.tolist() for index in np.nonzero(np.triu(self.adjacency, 1)))))
+
+    def run_sums(self, field) -> tuple[np.ndarray, np.ndarray]:
+        """Each run's sum of ``field.values`` and of ``field.x_weighted``, the density
+        and the density times x of a :class:`gpcover.density.DensityField`.
+
+        Each is one ``np.add.reduceat`` over ``run_start``. The last field's
+        sums are kept, read-only, with the field itself, so its identity cannot
+        be reused while they are: Lloyd reads them for the true cost of the
+        partition after a move and again for the next round's centroids.
+        """
+        kept = self.__dict__.get("_run_sums")
+        if kept is None or kept[0] is not field:
+            sums = tuple(np.add.reduceat(grid.ravel(), self.run_start)
+                         for grid in (field.values, field.x_weighted))
+            for total in sums:
+                total.flags.writeable = False
+            kept = field, sums
+            object.__setattr__(self, "_run_sums", kept)
+        return kept[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,10 +234,10 @@ def compute_partition(positions, domain: Domain) -> VoronoiPartition:
     band pixels, those outside every agent's certain interval of their row
     (:func:`_certain_intervals`, the module docstring's lemma), or on every
     pixel when the margin is not usable. Merging the certain intervals with
-    the band pixels, in flat order, gives the runs; the owner grid, the
-    bounding boxes and the neighbor graph are left to the partition's first
-    read of them. Raises ``OutsideDomainError`` if any position falls outside
-    the workspace rectangle.
+    the band pixels, in flat order, gives the runs; the owner grid and the
+    neighbor graph are left to the partition's first read of them, and each
+    cell's box to :func:`cell_pixels`. Raises ``OutsideDomainError`` if any
+    position falls outside the workspace rectangle.
     """
     pos = np.array(positions, dtype=float, ndmin=2)
     if pos.ndim != 2 or pos.shape[1] != 2 or len(pos) == 0:
@@ -308,23 +330,8 @@ def _sweep(dx2: np.ndarray, dy2: np.ndarray, flat: np.ndarray) -> np.ndarray:
     return owner
 
 
-def _run_boxes(partition: VoronoiPartition) -> np.ndarray:
-    """Each agent's bounding box from its runs, ``(n, 4)`` rows ``(x0, y0, x1, y1)``
-    with exclusive ends; a run lies in one row. An agent without runs gets
-    ``(0, 0, 0, 0)``."""
-    row, column = np.divmod(partition.run_start, partition.shape[1])
-    end = column + (partition.run_end - partition.run_start)
-    boxes = np.zeros((partition.n_agents, 4), dtype=np.intp)
-    boxes[:, :2] = max(partition.shape)
-    for ufunc, corner, values in ((np.minimum, 0, column), (np.minimum, 1, row),
-                                  (np.maximum, 2, end), (np.maximum, 3, row + 1)):
-        ufunc.at(boxes[:, corner], partition.run_owner, values)
-    boxes[boxes[:, 2] == 0] = 0
-    return boxes
-
-
 def _adjacent_pairs(run_start: np.ndarray, run_owner: np.ndarray, shape: tuple[int, int],
-                    n: int) -> tuple[tuple[int, ...], ...]:
+                    n: int) -> np.ndarray:
     # Compare each run start with its left, upper and lower pixel (off the
     # grid: itself), whose owner is that of the run holding it. Owners side by
     # side differ at a run start. For a above b in rows r and r + 1, walk left
@@ -339,47 +346,38 @@ def _adjacent_pairs(run_start: np.ndarray, run_owner: np.ndarray, shape: tuple[i
     adjacent = np.bincount(pair.ravel(), minlength=n * n).reshape(n, n) > 0
     adjacent |= adjacent.T
     np.fill_diagonal(adjacent, False)
-    agent, other = np.nonzero(adjacent)
-    bounds = np.searchsorted(agent, np.arange(n + 1))
-    return tuple(tuple(other[lo:hi].tolist()) for lo, hi in zip(bounds[:-1], bounds[1:]))
-
-
-def laplacian_of(neighbors) -> np.ndarray:
-    """Integer graph Laplacian ``D - A`` of a symmetric neighbor relation.
-
-    ``neighbors[i]`` lists the agents adjacent to i. Self-loops, out-of-range
-    indices, and asymmetric relations are rejected.
-    """
-    n = len(neighbors)
-    adjacency = np.zeros((n, n), dtype=np.int64)
-    for i, nbrs in enumerate(neighbors):
-        for j in nbrs:
-            j = int(j)
-            if j == i:
-                raise ValueError(f"agent {i} lists itself as a neighbor")
-            if not 0 <= j < n:
-                raise ValueError(f"neighbor index {j} out of range for {n} agents")
-            adjacency[i, j] = 1
-    if not np.array_equal(adjacency, adjacency.T):
-        raise ValueError("neighbor relation is not symmetric")
-    return np.diag(adjacency.sum(axis=1)) - adjacency
+    return adjacent
 
 
 def cell_pixels(partition: VoronoiPartition, agent: int, domain: Domain) -> CellPixels:
     """The pixels owned by ``agent``, as its owner mask on its bounding box.
 
-    The mask is laid out from the agent's runs, which alternate in the box's
-    flat order with the gaps between them, so no owner grid is built.
+    Both come from the agent's runs, each in one row: the box spans the rows
+    of its first and last run and the columns from the least run start to the
+    greatest run end, and the runs alternate in the box's flat order with the
+    gaps between them, so no owner grid is built. An agent that owns no pixel
+    gets an empty mask at the origin.
     """
-    x0, y0, x1, y1 = partition.boxes[agent].tolist()
     mine = partition.run_owner == agent
     start, end = partition.run_start[mine], partition.run_end[mine]
-    columns = x1 - x0
-    local = start - start // domain.width * (domain.width - columns) - (y0 * columns + x0)
+    if len(start) == 0:
+        return CellPixels(np.zeros((0, 0), dtype=bool), 0, 0, domain)
+    # the runs' start and end columns go straight into the layout's edges, and
+    # are moved to box-local flat indices there once the box is known
+    row = start // domain.width
+    row_start = row * domain.width
     edges = np.empty(2 * len(start) + 2, dtype=np.intp)
-    edges[0], edges[-1] = 0, (y1 - y0) * columns
-    edges[1:-1:2], edges[2:-1:2] = local, local + (end - start)
+    first, stop = edges[1:-1:2], edges[2:-1:2]
+    np.subtract(start, row_start, out=first)
+    np.subtract(end, row_start, out=stop)
+    x0, y0 = int(first.min()), int(row[0])
+    rows, columns = int(row[-1]) - y0 + 1, int(stop.max()) - x0
+    offset = row * columns
+    offset -= y0 * columns + x0
+    first += offset
+    stop += offset
+    edges[0], edges[-1] = 0, rows * columns
     inside = np.zeros(len(edges) - 1, dtype=bool)
     inside[1::2] = True
-    mask = np.repeat(inside, np.diff(edges)).reshape(y1 - y0, columns)
+    mask = np.repeat(inside, np.diff(edges)).reshape(rows, columns)
     return CellPixels(mask, x0, y0, domain)

@@ -44,6 +44,14 @@ def brute_force_nearest(positions, domain) -> tuple[np.ndarray, np.ndarray]:
     return owner, dist2
 
 
+def laplacian(neighbors) -> np.ndarray:
+    """Integer graph Laplacian ``D - A`` of a neighbor relation, one agent's row at a time."""
+    lap = np.zeros((len(neighbors), len(neighbors)), dtype=np.int64)
+    for i, nbrs in enumerate(neighbors):
+        lap[i, i], lap[i, list(nbrs)] = len(nbrs), -1
+    return lap
+
+
 def cell_from_index(index, domain) -> CellPixels:
     """The cell of the given flat row-major pixel indices, as a mask on their bounding box."""
     iy, ix = np.divmod(np.asarray(index), domain.width)

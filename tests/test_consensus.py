@@ -5,10 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from gpcover import (ConfigurationError, ConsensusConfig, Hyperparams, consensus_step,
-                     laplacian_of)
+from gpcover import ConfigurationError, ConsensusConfig, Hyperparams, consensus_step
 
-PATH_4 = laplacian_of([(1,), (0, 2), (1, 3), (2,)])
+from oracles import laplacian
+
+PATH_4 = laplacian([(1,), (0, 2), (1, 3), (2,)])
 
 
 def _make(values):
@@ -18,7 +19,7 @@ def _make(values):
 
 def test_identical_parameters_are_a_fixed_point():
     params = [Hyperparams(1.5, 2.0, 0.1, 0.3)] * 3
-    lap = laplacian_of([(1,), (0, 2), (1,)])
+    lap = laplacian([(1,), (0, 2), (1,)])
     out = consensus_step(params, lap, ConsensusConfig(alpha=0.2))
     for p in out:
         assert p.lengthscale == pytest.approx(1.5, rel=1e-14)
@@ -30,7 +31,7 @@ def test_identical_parameters_are_a_fixed_point():
 def test_pair_averages_prior_mean_in_one_half_step():
     params = [Hyperparams(1.0, 1.0, 0.1, prior_mean=2.0),
               Hyperparams(1.0, 1.0, 0.1, prior_mean=4.0)]
-    lap = laplacian_of([(1,), (0,)])
+    lap = laplacian([(1,), (0,)])
     out = consensus_step(params, lap, ConsensusConfig(alpha=0.5))
     assert out[0].prior_mean == pytest.approx(3.0)
     assert out[1].prior_mean == pytest.approx(3.0)
@@ -93,7 +94,7 @@ def test_only_neighbors_influence_an_agent():
 
 def test_alpha_at_the_stability_bound_is_refused():
     params = _make([1.0, 2.0, 3.0, 4.0])
-    star = laplacian_of([(1, 2, 3), (0,), (0,), (0,)])
+    star = laplacian([(1, 2, 3), (0,), (0,), (0,)])
     with pytest.raises(ConfigurationError):
         consensus_step(params, star, ConsensusConfig(alpha=1.0 / 3.0))
     # strictly below the bound is fine
@@ -121,7 +122,7 @@ def test_invalid_laplacians_are_rejected():
 def test_log_space_requires_positive_channels():
     # a zero noise variance is representable but cannot be log-averaged
     params = [Hyperparams(1.0, 1.0, 0.0), Hyperparams(1.0, 1.0, 0.1)]
-    lap = laplacian_of([(1,), (0,)])
+    lap = laplacian([(1,), (0,)])
     with pytest.raises(ValueError):
         consensus_step(params, lap, ConsensusConfig(alpha=0.4, log_space=True))
     # linear averaging handles it

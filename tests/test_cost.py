@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -434,6 +436,30 @@ def test_mass_centroid_of_a_coincident_agent_is_empty_and_lloyd_leaves_it():
     assert not np.array_equal(trace.positions[0, 0], pos[0])
 
 
+def test_run_sums_are_kept_per_field_and_never_keep_the_partition():
+    domain = Domain(40, 23, 0.37)
+    rng = np.random.default_rng(17)
+    pos = rng.uniform([0, 0], [domain.world_width, domain.world_height], size=(5, 2))
+    part, twin = compute_partition(pos, domain), compute_partition(pos, domain)
+    fields = [DensityField(domain, rng.uniform(0.0, 3.0, size=(23, 40))) for _ in range(2)]
+    uncached = [[np.add.reduceat(grid.ravel(), part.run_start).tobytes()
+                 for grid in (field.values, field.x_weighted)] for field in fields]
+    assert uncached[0] != uncached[1]
+    # one partition read with two fields in turn gives each field its own sums,
+    # and two partitions of the same positions give equal sums, bit for bit
+    for k in (0, 1, 0, 1):
+        for p in (part, twin):
+            sums = p.run_sums(fields[k])
+            assert [s.tobytes() for s in sums] == uncached[k]
+            assert sums is p.run_sums(fields[k]) and not sums[0].flags.writeable
+    mass_centroid(part, fields[0])
+    true_locational_cost(part, fields[1])
+    dropped = weakref.ref(part)
+    del part
+    gc.collect()
+    assert dropped() is None
+
+
 def test_report_recomposes_exactly():
     rng = np.random.default_rng(31)
     domain = Domain(32, 20)
@@ -470,8 +496,8 @@ def test_report_of_empty_cell_is_zero_at_the_agent():
     gp = SparseGP.fit([[3.0, 4.0, 1.0]], Hyperparams(1.0, 1.0, 0.1))
     for i in (1, 3):
         cell = cell_pixels(part, i, domain)
-        assert len(cell) == 0 and cell.mask.size == 0
-        assert part.boxes[i].tolist() == [0, 0, 0, 0]
+        assert len(cell) == 0 and cell.mask.shape == (0, 0)
+        assert cell.x0 == cell.y0 == 0
         for quad in (FULL, QuadratureSpec(single_stride=3, pair_budget=4, beta=2.0)):
             report = cell_cost_report(cell, pos[i], gp, quad)
             assert report.expected == report.std == report.total == 0.0

@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gpcover import (Domain, OutsideDomainError, SimConfig, cell_pixels, compute_partition,
-                     laplacian_of, run, run_lloyd_baseline)
+from gpcover import (Domain, OutsideDomainError, SimConfig, cell_pixels, compute_partition, run,
+                     run_lloyd_baseline)
 from gpcover import geometry
 
-from oracles import brute_force_owner, cell_index
+from oracles import brute_force_owner, cell_index, laplacian
 
 
 def test_single_agent_owns_everything():
@@ -62,6 +62,7 @@ def test_matches_brute_force_oracle_on_seeded_configs():
         np.testing.assert_array_equal(part.owner, owner)
         np.testing.assert_array_equal(part.run_start, _oracle_run_starts(owner))
         np.testing.assert_array_equal(part.run_owner, owner.ravel()[part.run_start])
+        _assert_graph_is(part, _oracle_neighbors(owner, len(pos)))
 
 
 def _oracle_run_starts(owner):
@@ -82,6 +83,20 @@ def _oracle_neighbors(owner, n):
                     adj[owner[iy, ix]].add(int(owner[jy, jx]))
                     adj[owner[jy, jx]].add(int(owner[iy, ix]))
     return tuple(tuple(sorted(s)) for s in adj)
+
+
+def _assert_graph_is(part, neighbors):
+    """The partition's adjacency, neighbor lists, edges and Laplacian all give ``neighbors``."""
+    n = part.n_agents
+    assert part.adjacency.dtype == bool
+    np.testing.assert_array_equal(part.adjacency, laplacian(neighbors) < 0)
+    assert part.neighbors == neighbors
+    assert all(type(j) is int for nbrs in part.neighbors for j in nbrs)
+    edges = part.edges()
+    assert edges == [(i, j) for i in range(n) for j in neighbors[i] if i < j]
+    assert all(type(i) is int and type(j) is int for i, j in edges)
+    assert part.laplacian.dtype == np.int64
+    np.testing.assert_array_equal(part.laplacian, laplacian(neighbors))
 
 
 def test_matches_brute_force_oracle_across_row_blocks():
@@ -109,7 +124,7 @@ def test_matches_brute_force_oracle_across_row_blocks():
         np.testing.assert_array_equal(part.owner, owner)
         np.testing.assert_array_equal(part.run_start, _oracle_run_starts(owner))
         _assert_cells_are_tight_owner_masks(part, owner, domain)
-        assert part.neighbors == _oracle_neighbors(owner, len(pos))
+        _assert_graph_is(part, _oracle_neighbors(owner, len(pos)))
     shared = [((iy, ix), (jy, jx)) for iy in range(domain.height) for ix in range(domain.width)
               for jy, jx in ((iy, ix + 1), (iy + 1, ix))
               if jy < domain.height and jx < domain.width
@@ -155,23 +170,9 @@ def test_neighbor_graph_of_corner_agents_matches_its_own_laplacian():
     part = compute_partition(pos, domain)
     # corner cells meet along the two mid lines but not diagonally
     assert part.neighbors == ((1, 2), (0, 3), (0, 3), (1, 2))
-    np.testing.assert_array_equal(part.laplacian, laplacian_of(part.neighbors))
+    np.testing.assert_array_equal(part.laplacian, laplacian(part.neighbors))
     assert np.array_equal(part.laplacian, part.laplacian.T)
     np.testing.assert_array_equal(part.laplacian.sum(axis=1), np.zeros(4))
-
-
-def test_laplacian_of_path_graph():
-    lap = laplacian_of([(1,), (0, 2), (1,)])
-    assert lap.tolist() == [[1, -1, 0], [-1, 2, -1], [0, -1, 1]]
-
-
-def test_laplacian_rejects_bad_relations():
-    with pytest.raises(ValueError):
-        laplacian_of([(0,)])  # self loop
-    with pytest.raises(ValueError):
-        laplacian_of([(1,), ()])  # asymmetric
-    with pytest.raises(ValueError):
-        laplacian_of([(5,), ()])  # out of range
 
 
 def test_position_outside_domain_raises():
@@ -410,13 +411,13 @@ def test_neighbor_graph_is_built_on_first_read_and_matches_the_oracle():
     for n in (1, 2, 4, 9):
         for pos in _layouts(rng, domain, n):
             part = compute_partition(pos, domain)
-            assert not {"owner", "boxes", "neighbors", "laplacian"} & set(vars(part))
+            assert not {"owner", "adjacency", "neighbors", "laplacian"} & set(vars(part))
             oracle = _oracle_neighbors(part.owner, n)
-            np.testing.assert_array_equal(part.laplacian, laplacian_of(oracle))
+            np.testing.assert_array_equal(part.laplacian, laplacian(oracle))
             assert part.neighbors == oracle
             # built once: later reads return the same objects
             assert part.neighbors is part.neighbors and part.laplacian is part.laplacian
-            assert part.boxes is part.boxes and part.owner is part.owner
+            assert part.adjacency is part.adjacency and part.owner is part.owner
 
 
 @pytest.mark.parametrize("block_pixels", [32768, 40])
@@ -435,8 +436,9 @@ def test_run_starts_mark_every_owner_change_in_flat_order(block_pixels):
         assert part.run_start.dtype == np.intp
         np.testing.assert_array_equal(part.run_start, _oracle_run_starts(owner))
         np.testing.assert_array_equal(part.run_owner, owner.ravel()[part.run_start])
-        # the owner grid and the bounding boxes come from the runs
+        # the owner grid, the cells' boxes and the graph come from the runs
         _assert_cells_are_tight_owner_masks(part, owner, domain)
+        _assert_graph_is(part, _oracle_neighbors(owner, len(pos)))
 
 
 @pytest.mark.parametrize("height,width", [(3, 3), (2, 4), (4, 2)])
@@ -446,5 +448,5 @@ def test_run_starts_alone_find_every_pair_on_any_three_owner_grid(height, width)
         owner = np.array(labels, dtype=np.intp).reshape(height, width)
         run_start = np.flatnonzero(np.diff(owner.ravel(), prepend=-1))
         run_owner = owner.ravel()[run_start]
-        assert geometry._adjacent_pairs(run_start, run_owner, owner.shape, 3) == \
-            _oracle_neighbors(owner, 3), owner
+        assert np.array_equal(geometry._adjacent_pairs(run_start, run_owner, owner.shape, 3),
+                              laplacian(_oracle_neighbors(owner, 3)) < 0), owner

@@ -11,8 +11,12 @@ and workload, on the first seed and alternating which side runs first, give the
 per-layer metrics: the record keeps every traced run and each metric's median
 over a side's runs, since one traced run on a busy machine can be far off.
 Each checkout runs its own benchmark code on its own library; the benchmark
-sets its own BLAS thread count. Each side's ``src_sha256`` (see :func:`src_digest`) ties the record to
-the library it measured, committed or not.
+sets its own BLAS thread count. Every run records ``os.getloadavg()``, the
+machine's 1, 5 and 15 minute load averages when it starts, since other work on
+the machine moves the timings: each workload's ``loadavg`` lists the pairs'
+per side, in seed order, and each traced run keeps its own. Each side's ``src_sha256`` (see
+:func:`src_digest`) ties the record to the library it measured, committed or
+not.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -42,7 +47,9 @@ def src_digest(checkout: Path) -> str:
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One benchmark run: its environment line and its final JSON line."""
+    """One benchmark run: the load averages at its start, its environment line and
+    its final JSON line."""
+    loadavg = list(os.getloadavg())
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
@@ -53,7 +60,8 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: in
     except (IndexError, json.JSONDecodeError):
         result = {"correct": False, "attempted": 0, "failed": None, "metrics": {},
                   "error": proc.stderr[-2000:]}
-    return {"seed": seed, "returncode": proc.returncode, "env": env, **result}
+    return {"seed": seed, "returncode": proc.returncode, "loadavg": loadavg, "env": env,
+            **result}
 
 
 def summary(values):
@@ -126,6 +134,7 @@ def main(argv=None) -> int:
             "failed": {s: sum(p[s]["failed"] or 0 for p in pairs) for s in sides},
             "all_correct": {s: all(p[s]["correct"] for p in pairs) for s in sides},
             "env": {s: pairs[0][s]["env"] for s in sides},
+            "loadavg": {s: [p[s]["loadavg"] for p in pairs] for s in sides},
             "metrics": {m["name"]: compare(pairs, m["name"], m["better"])
                         for m in declared["end_to_end"]},
             "traced": traced(sides, workload, seconds),

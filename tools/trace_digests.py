@@ -16,11 +16,15 @@ prefixes of two digests of partitions: at every position of seed 1's Lloyd
 trace and at every position of seed 1's method trace, each start included.
 Each digest covers every partition's ``owner`` bytes and ``run_start``, every
 agent's sorted flat pixel indices (``np.flatnonzero(owner.ravel() == i)``,
-after their count) and the neighbor lists. A change meant to be byte-identical
-prints the same lines as its parent; a change to Lloyd's numerics alone moves
-the Lloyd digests, and the method-position partitions show that the
-partitions themselves did not change. The library is imported from ``src/``
-next to this directory.
+after their count) and the neighbor lists. A last line per workload prints,
+for the same two sequences of partitions, digests of every partition's
+``edges()`` (their ``repr``, so numpy integers in place of Python ones show),
+its ``laplacian`` dtype and bytes, and every agent's cell box from
+``cell_pixels``: ``x0``, ``y0`` and the mask's shape. A change meant to be
+byte-identical prints the same lines as its parent; a change to Lloyd's
+numerics alone moves the Lloyd digests, and the method-position partitions
+show that the partitions themselves did not change. The library is imported
+from ``src/`` next to this directory.
 """
 
 from __future__ import annotations
@@ -41,8 +45,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import numpy as np  # noqa: E402
 
-from gpcover import (build_scenario, compute_partition, config_from_dict, run,  # noqa: E402
-                     run_lloyd_baseline)
+from gpcover import (build_scenario, cell_pixels, compute_partition,  # noqa: E402
+                     config_from_dict, run, run_lloyd_baseline)
 from gpcover.sim import CSV_FIXED_COLUMNS  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
@@ -72,9 +76,10 @@ def raster_digest(config) -> str:
     return _digest(field.values.tobytes())
 
 
-def partition_digest(config, trace) -> str:
+def partition_digests(config, trace) -> tuple[str, str]:
+    """The partition digest and the graph-and-box digest of every position of the trace."""
     domain = config.domain()
-    digest = hashlib.sha256()
+    digest, graph = hashlib.sha256(), hashlib.sha256()
     for positions in [trace.initial_positions, *trace.positions]:
         part = compute_partition(positions, domain)
         digest.update(part.owner.tobytes())
@@ -83,8 +88,12 @@ def partition_digest(config, trace) -> str:
         for i in range(part.n_agents):
             cell = np.flatnonzero(flat_owner == i)
             digest.update(len(cell).to_bytes(8, "little") + cell.tobytes())
+            box = cell_pixels(part, i, domain)
+            graph.update(repr((box.x0, box.y0, box.mask.shape)).encode())
         digest.update(repr(part.neighbors).encode())
-    return digest.hexdigest()[:16]
+        graph.update(repr(part.edges()).encode())
+        graph.update(str(part.laplacian.dtype).encode() + part.laplacian.tobytes())
+    return digest.hexdigest()[:16], graph.hexdigest()[:16]
 
 
 def main() -> int:
@@ -95,13 +104,15 @@ def main() -> int:
             cfg = config_from_dict(dict(workload.mapping, seed=seed, rounds=workload.rounds))
             lloyd, method = run_lloyd_baseline(cfg), run(cfg)
             if seed == SEEDS[0]:
-                partitions = [partition_digest(cfg, trace) for trace in (lloyd, method)]
+                partitions = [partition_digests(cfg, trace) for trace in (lloyd, method)]
             csv, lloyd_csv = csv_bytes(method), csv_bytes(lloyd)
             positions = [_digest(drop_columns(c, "rmse", "true_cost")) for c in (csv, lloyd_csv)]
             print(f"{name} seed {seed}: method {_digest(csv)} path "
                   f"{_digest(drop_columns(csv, 'rmse'))} lloyd {_digest(lloyd_csv)} positions "
                   f"method {positions[0]} lloyd {positions[1]}", flush=True)
-        print(f"{name} partitions: lloyd {partitions[0]} method {partitions[1]}", flush=True)
+        (lloyd_part, lloyd_graph), (method_part, method_graph) = partitions
+        print(f"{name} partitions: lloyd {lloyd_part} method {method_part}", flush=True)
+        print(f"{name} graphs and boxes: lloyd {lloyd_graph} method {method_graph}", flush=True)
     return 0
 
 
