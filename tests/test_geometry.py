@@ -175,6 +175,14 @@ def test_neighbor_graph_of_corner_agents_matches_its_own_laplacian():
     np.testing.assert_array_equal(part.laplacian.sum(axis=1), np.zeros(4))
 
 
+def test_laplacian_of_path_graph():
+    # three agents in a row cut the domain into vertical strips: the path 0 - 1 - 2
+    part = compute_partition([[5.0, 5.0], [15.0, 5.0], [25.0, 5.0]], Domain(30, 10))
+    assert part.edges() == [(0, 1), (1, 2)]
+    assert part.laplacian.dtype == np.int64
+    assert part.laplacian.tolist() == [[1, -1, 0], [-1, 2, -1], [0, -1, 1]]
+
+
 def test_position_outside_domain_raises():
     domain = Domain(10, 10)
     with pytest.raises(OutsideDomainError):
