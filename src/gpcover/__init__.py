@@ -12,7 +12,8 @@ from .errors import (ConfigurationError, DecentralizationError, GPCoverError,
 from .geometry import (CellPixels, Domain, VoronoiPartition, cell_pixels,
                        compute_partition)
 from .gp import (Hyperparams, SparseGP, greedy_select, kernel_matrix, log_marginal_likelihood,
-                 merge_inducing, posterior, posterior_mean, refit_hyperparams, smw_extend)
+                 merge_inducing, posterior_covariance_product, posterior_mean,
+                 refit_hyperparams, smw_extend)
 from .sim import (AccessAudit, AgentState, SimTrace, initial_positions, run,
                   run_lloyd_baseline, sample_density)
 from .cli import run_batch
@@ -29,7 +30,7 @@ __all__ = [
     "compute_partition", "config_from_dict", "consensus_step", "expected_cost",
     "greedy_select", "initial_positions", "kernel_matrix",
     "log_marginal_likelihood", "mass_centroid", "merge_inducing", "plateau_detected",
-    "posterior", "posterior_mean", "record_std", "refit_hyperparams", "run",
+    "posterior_covariance_product", "posterior_mean", "record_std", "refit_hyperparams", "run",
     "run_batch", "run_lloyd_baseline", "sample_density", "smw_extend", "step",
     "true_locational_cost", "variance_cost",
 ]

@@ -10,7 +10,8 @@ Every node is a pixel centre, so a cell is its owner mask on its bounding box.
 The expected term takes one :func:`gpcover.gp.lattice_posterior_mean` product
 per cell and gathers it and the per-axis offsets with the mask, in row-major
 order, or at every ``single_stride``-th flat index. The exploration term works on
-at most ``pair_budget`` of those nodes and never forms their posterior covariance.
+at most ``pair_budget`` of those nodes, evenly spaced in row-major order, and
+reads their covariance through :func:`gpcover.gp.posterior_covariance_product`.
 """
 
 from __future__ import annotations
@@ -21,19 +22,14 @@ import numpy as np
 
 from .density import DensityField
 from .geometry import CellPixels, VoronoiPartition, cell_pixels
-from .gp import SparseGP, kernel_matrix, lattice_posterior_mean
-# the dense path, kept importable here for callers that look it up by name
-from .gp import posterior_mean  # noqa: F401
+from .gp import SparseGP, lattice_posterior_mean, posterior_covariance_product
+# not called here: perfbench/tracing.py's TRACE_POINTS look both up on this module
+from .gp import kernel_matrix, posterior_mean  # noqa: F401
 
 # below this the exploration std is treated as exactly zero and its gradient vanishes
 STD_FLOOR = 1e-9
 
 _MASS_FLOOR = 1e-12
-
-# variance_cost forms ``Kqq @ gw`` this many node rows at a time, so the k x k
-# table is never allocated; blocks start at multiples of 64, where a row-blocked
-# GEMV gives the same bits as the one-table GEMV
-_NODE_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -96,10 +92,13 @@ def _strided_terms(cell: CellPixels, stride: int, gp: SparseGP, px: float,
 
 
 def _pair_nodes(cell: CellPixels, budget: int) -> tuple[np.ndarray, np.ndarray]:
+    """At most ``budget`` pixel centres of the cell, evenly spaced in row-major order,
+    and their area share. Above the budget the ``linspace`` step exceeds 1, and
+    ``round(y) - round(x) >= y - x - 1 > 0``: the picks are strictly increasing."""
     k = len(cell)
     index = cell.flat
     if k > budget:
-        index = index[np.unique(np.round(np.linspace(0, k - 1, budget)).astype(np.int64))]
+        index = index[np.round(np.linspace(0, k - 1, budget)).astype(np.int64)]
     bx, by = cell.axis_centers()
     iy, ix = np.divmod(index, cell.mask.shape[1])
     return np.column_stack([bx[ix], by[iy]]), np.full(len(index), _share(cell, len(index)))
@@ -131,12 +130,9 @@ def variance_cost(cell: CellPixels, agent_pos, gp: SparseGP,
 
     The variance is the double integral of ``f(q) f(q') cov(q, q')`` over the
     cell with ``f = 0.5 ||q - p||^2``, evaluated on the pair-budget nodes as
-    ``gw . (Kqq gw - Kqz W^T W Kzq gw)`` with the GP's whitening factor ``W``,
-    without forming the posterior covariance. ``Kqq gw`` is formed
-    ``_NODE_BLOCK`` kernel rows at a time, so no k x k table is allocated;
-    its bits equal the one-table product's. When the std falls below
-    ``STD_FLOOR`` it is returned as is with a zero gradient (the direction is
-    numerically meaningless there).
+    ``gw . cov gw`` with one :func:`gpcover.gp.posterior_covariance_product`.
+    When the std falls below ``STD_FLOOR`` it is returned as is with a zero
+    gradient (the direction is numerically meaningless there).
     """
     pos = np.asarray(agent_pos, dtype=float).reshape(2)
     if len(cell) == 0:
@@ -144,13 +140,7 @@ def variance_cost(cell: CellPixels, agent_pos, gp: SparseGP,
     nodes, weights = _pair_nodes(cell, quad.pair_budget)
     diff = nodes - pos
     gw = (diff ** 2).sum(axis=1) * weights
-    cgw = np.empty(len(nodes))
-    for start in range(0, len(nodes), _NODE_BLOCK):
-        block = slice(start, start + _NODE_BLOCK)
-        cgw[block] = kernel_matrix(nodes[block], nodes, gp.hyper) @ gw
-    if len(gp.points) > 0:
-        kq = kernel_matrix(nodes, gp.points, gp.hyper)
-        cgw -= kq @ (gp.whiten.T @ (gp.whiten @ (kq.T @ gw)))
+    cgw = posterior_covariance_product(gp, nodes, gw)
     var = 0.25 * float(gw @ cgw)
     std = float(np.sqrt(max(var, 0.0)))
     if std < STD_FLOOR:

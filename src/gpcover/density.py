@@ -103,7 +103,6 @@ class DensityField:
 
     domain: Domain
     values: np.ndarray
-    analytic: GaussianMixture | None = None
 
     def __post_init__(self):
         if self.values.shape != (self.domain.height, self.domain.width):
@@ -136,13 +135,7 @@ class DensityField:
     @classmethod
     def from_mixture(cls, domain: Domain, mixture: GaussianMixture) -> "DensityField":
         xs, ys = domain.axis_centers()
-        values = mixture._evaluate(xs, ys[:, None], (domain.height, domain.width))
-        return cls(domain, values, mixture)
-
-    @classmethod
-    def constant(cls, domain: Domain, level: float = 1.0) -> "DensityField":
-        mixture = GaussianMixture(blobs=(), background=level)
-        return cls(domain, np.full((domain.height, domain.width), float(level)), mixture)
+        return cls(domain, mixture._evaluate(xs, ys[:, None], (domain.height, domain.width)))
 
 
 def bilinear(field: DensityField, point) -> float:

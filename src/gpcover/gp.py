@@ -15,8 +15,9 @@ product of per-axis factors (exact Kronecker structure, no interpolation),
 taken in row blocks small enough that BLAS runs each on one thread and the
 result does not depend on the thread count. The expected cost reads it on a
 cell's bounding box, and the rmse metric on its strided lattice; both agree
-with :func:`posterior_mean` to rounding.
-:func:`posterior_mean` and :func:`posterior` serve arbitrary query points.
+with :func:`posterior_mean`, which serves arbitrary query points, to rounding.
+The covariance is read only through :func:`posterior_covariance_product`, a
+product with a vector (the exploration term's) or with the identity (dense).
 """
 
 from __future__ import annotations
@@ -44,6 +45,10 @@ _LOG_BOUND = 40.0
 # A threaded GEMM splits the output differently with the thread count, and so
 # rounds differently; blocks below this bound give the same bits for any count.
 _SERIAL_GEMM_MACS = 65536 * 4
+
+# posterior_covariance_product takes ``Kqq`` this many rows at a time; blocks start
+# at multiples of 64, where a row-blocked GEMV gives the one-table GEMV's bits
+_NODE_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -167,24 +172,31 @@ class SparseGP:
         return SparseGP.fit(self.inducing, hyper)
 
 
-def posterior(gp: SparseGP, query) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior mean ``(k,)`` and covariance ``(k, k)`` at the query points."""
-    q = np.atleast_2d(np.asarray(query, dtype=float))
-    prior_cov = kernel_matrix(q, q, gp.hyper)
-    if len(gp.points) == 0:
-        return np.full(len(q), gp.hyper.prior_mean), prior_cov
-    kq = kernel_matrix(q, gp.points, gp.hyper)
-    v = kq @ gp.whiten.T
-    return gp.hyper.prior_mean + kq @ gp.weights, prior_cov - v @ v.T
-
-
 def posterior_mean(gp: SparseGP, query) -> np.ndarray:
-    """Posterior mean only; avoids the O(k^2) covariance for large query sets."""
+    """Posterior mean ``(k,)`` at the ``(k, 2)`` query points."""
     q = np.atleast_2d(np.asarray(query, dtype=float))
     if len(gp.points) == 0:
         return np.full(len(q), gp.hyper.prior_mean)
     kq = kernel_matrix(q, gp.points, gp.hyper)
     return gp.hyper.prior_mean + kq @ gp.weights
+
+
+def posterior_covariance_product(gp: SparseGP, query, v) -> np.ndarray:
+    """Posterior covariance of the ``(k, 2)`` query points times ``v``, ``(k,)`` or
+    ``(k, n)``: ``Kqq @ v - Kqz W^T W Kzq @ v``, without the k x k covariance.
+
+    ``Kqq`` is taken ``_NODE_BLOCK`` rows at a time; its bits equal the one-table
+    product's. ``v = np.eye(k)`` gives the dense covariance.
+    """
+    q = np.atleast_2d(np.asarray(query, dtype=float))
+    out = np.empty(np.shape(v))
+    for start in range(0, len(q), _NODE_BLOCK):
+        block = slice(start, start + _NODE_BLOCK)
+        out[block] = kernel_matrix(q[block], q, gp.hyper) @ v
+    if len(gp.points) > 0:
+        kq = kernel_matrix(q, gp.points, gp.hyper)
+        out -= kq @ (gp.whiten.T @ (gp.whiten @ (kq.T @ v)))
+    return out
 
 
 def _axis_factor(centers: np.ndarray, coords: np.ndarray, lengthscale: float) -> np.ndarray:

@@ -34,11 +34,13 @@ from gpcover import (
     expected_cost,
     greedy_select,
     merge_inducing,
-    posterior,
+    posterior_covariance_product,
+    posterior_mean,
     run,
     run_lloyd_baseline,
     variance_cost,
 )
+from gpcover.gp import lattice_posterior_mean
 
 
 def criterion(number, name, limit_s):
@@ -125,12 +127,16 @@ def test_sparse_posterior_matches_dense_oracle():
                         noise_variance=5e-3, prior_mean=0.4)
     gp = SparseGP.fit(np.column_stack([points, values]), hyper)
 
-    gx, gy = np.meshgrid(np.linspace(8, 88, 3), np.linspace(6, 48, 3))
+    xs, ys = np.linspace(8, 88, 3), np.linspace(6, 48, 3)
+    gx, gy = np.meshgrid(xs, ys)
     query = np.column_stack([gx.ravel(), gy.ravel()])
 
-    mean, cov = posterior(gp, query)
     ref_mean, ref_cov = oracles.dense_posterior(points, values, hyper, query)
-    np.testing.assert_allclose(mean, ref_mean, rtol=0.0, atol=1e-8)
+    # the dense mean, the lattice mean that the expected cost and rmse read, and
+    # the covariance product of the identity
+    for mean in (posterior_mean(gp, query), lattice_posterior_mean(gp, xs, ys)):
+        np.testing.assert_allclose(mean, ref_mean, rtol=0.0, atol=1e-8)
+    cov = posterior_covariance_product(gp, query, np.eye(len(query)))
     np.testing.assert_allclose(cov, ref_cov, rtol=0.0, atol=1e-8)
 
 

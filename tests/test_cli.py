@@ -10,6 +10,7 @@ import yaml
 
 from gpcover import ConfigurationError, Domain, SimConfig, build_scenario, config_from_dict
 from gpcover.cli import load_config, main, run_batch
+from gpcover.density import scenario_mixture
 
 FAST_KW = dict(width=24, height=14, n_agents=2, rounds=3, T=2, M=8, pair_budget=16,
                rmse_stride=4, eta=0.8, eta_adam=0.3, v_max=1.5)
@@ -17,38 +18,41 @@ FAST_KW = dict(width=24, height=14, n_agents=2, rounds=3, T=2, M=8, pair_budget=
 
 def test_four_gaussians_has_unit_peaks_at_the_four_centers():
     field = build_scenario("four_gaussians", Domain(960, 540))
+    mixture = scenario_mixture("four_gaussians", Domain(960, 540))
     for cx, cy in ((100, 100), (850, 450), (100, 450), (850, 100)):
-        assert field.analytic.value_at([[cx, cy]])[0] == pytest.approx(1.0, abs=1e-12)
+        assert mixture.value_at([[cx, cy]])[0] == pytest.approx(1.0, abs=1e-12)
     # the nearest pixel center is half a pixel off each axis
     assert field.max_value == pytest.approx(math.exp(-0.5 / 200.0), rel=1e-9)
     assert np.all(field.values >= 0)
 
 
 def test_four_gaussians_scales_with_the_domain():
-    field = build_scenario("four_gaussians", Domain(240, 135))
+    mixture = scenario_mixture("four_gaussians", Domain(240, 135))
     # centers scale to quarter size, sigma scales to 2.5
-    assert field.analytic.value_at([[25.0, 25.0]])[0] == pytest.approx(1.0, abs=1e-12)
-    assert field.analytic.value_at([[27.5, 25.0]])[0] == pytest.approx(
+    assert mixture.value_at([[25.0, 25.0]])[0] == pytest.approx(1.0, abs=1e-12)
+    assert mixture.value_at([[27.5, 25.0]])[0] == pytest.approx(
         math.exp(-0.5), abs=1e-9)
 
 
 def test_hotspots_layout():
     domain = Domain(960, 540)
     field = build_scenario("hotspots", domain)
+    mixture = scenario_mixture("hotspots", domain)
     # a far corner: background plus the long tail of the widest blob
-    corner = field.analytic.value_at([[959.5, 0.5]])[0]
+    corner = mixture.value_at([[959.5, 0.5]])[0]
     assert field.values[0, -1] == pytest.approx(corner, rel=1e-12)
     assert 20.0 < field.values[0, -1] < 21.0
     # at the first blob center: background + its amplitude + faint cross terms
-    value = field.analytic.value_at([[192.0, 162.0]])[0]
+    value = mixture.value_at([[192.0, 162.0]])[0]
     assert value == pytest.approx(170.0, abs=0.01)
-    sigmas = [blob.sigma for blob in field.analytic.blobs]
+    sigmas = [blob.sigma for blob in mixture.blobs]
     assert sigmas == [80.0, 120.0, 60.0]
 
 
 def test_single_peak_is_centered():
     field = build_scenario("single_peak", Domain(960, 540))
-    assert field.analytic.value_at([[480.0, 270.0]])[0] == pytest.approx(150.0)
+    mixture = scenario_mixture("single_peak", Domain(960, 540))
+    assert mixture.value_at([[480.0, 270.0]])[0] == pytest.approx(150.0)
     iy, ix = np.unravel_index(np.argmax(field.values), field.values.shape)
     assert abs(ix + 0.5 - 480.0) <= 1.0
     assert abs(iy + 0.5 - 270.0) <= 1.0
@@ -60,9 +64,11 @@ def test_uniform_is_flat_one():
 
 
 def test_custom_scenario_takes_explicit_blobs():
-    field = build_scenario("custom", Domain(32, 18),
-                           {"blobs": [[16.0, 9.0, 3.0, 2.0]], "background": 0.5})
-    assert field.analytic.value_at([[16.0, 9.0]])[0] == pytest.approx(2.5)
+    params = {"blobs": [[16.0, 9.0, 3.0, 2.0]], "background": 0.5}
+    field = build_scenario("custom", Domain(32, 18), params)
+    assert scenario_mixture("custom", Domain(32, 18), params).value_at(
+        [[16.0, 9.0]])[0] == pytest.approx(2.5)
+    assert field.values[8, 15] == pytest.approx(0.5 + 2.0 * math.exp(-0.25 / 9.0))
 
 
 def test_scenario_rasterization_is_deterministic():

@@ -13,7 +13,7 @@ from gpcover import (Domain, Hyperparams, QuadratureSpec, SimConfig, SparseGP, b
                      cell_cost_report, cell_pixels, compute_partition, expected_cost,
                      kernel_matrix, mass_centroid, posterior_mean, run_lloyd_baseline,
                      true_locational_cost, variance_cost)
-from gpcover.density import DensityField, GaussianBlob, GaussianMixture
+from gpcover.density import DensityField, GaussianBlob, GaussianMixture, scenario_mixture
 from gpcover.cost import _pair_nodes, _share, _strided_terms
 from gpcover.gp import _SERIAL_GEMM_MACS, _axis_factor
 
@@ -64,6 +64,27 @@ def test_full_budget_uses_exact_pixel_area():
     nodes, weights = _pair_nodes(cell, budget=36)
     assert len(nodes) == 36
     assert np.all(weights == 0.25)
+
+
+def test_pair_picks_are_strictly_increasing_from_first_to_last():
+    # above the budget the linspace step exceeds 1, so rounding never repeats a
+    # pick: every budget from 4 to 1024, at node counts just above it, at twice
+    # and three times it, and at random counts up to 2**31
+    rng = np.random.default_rng(23)
+    for budget in range(4, 1025):
+        counts = [budget + 1, budget + 2, budget + 3, 2 * budget - 1, 2 * budget,
+                  2 * budget + 1, 3 * budget - 1, 3 * budget + 1, 2 ** 31 - 1, 2 ** 31]
+        counts += rng.integers(budget + 1, 2 ** 31, size=11, endpoint=True).tolist()
+        for k in counts:
+            picks = np.round(np.linspace(0, k - 1, budget)).astype(np.int64)
+            assert picks[0] == 0 and picks[-1] == k - 1, (budget, k)
+            assert np.all(np.diff(picks) > 0), (budget, k)
+    # and _pair_nodes takes exactly those pixels of a cell, budget of them
+    for width, height, budget in ((20, 10, 4), (20, 10, 199), (13, 7, 90), (64, 64, 256)):
+        _, cell = _whole_grid_cell(width, height)
+        nodes, _ = _pair_nodes(cell, budget)
+        picks = np.round(np.linspace(0, len(cell) - 1, budget)).astype(np.int64)
+        np.testing.assert_array_equal(nodes, cell.centers[picks])
 
 
 def _dense_nodes(cell, idx):
@@ -507,7 +528,7 @@ def test_report_of_empty_cell_is_zero_at_the_agent():
 
 def test_true_cost_of_uniform_unit_density_by_hand():
     domain = Domain(2, 2)
-    density = DensityField.constant(domain, 1.0)
+    density = DensityField(domain, np.full((2, 2), 1.0))
     part = compute_partition([[1.0, 1.0]], domain)
     # four pixels each at squared distance 0.5 from the center
     assert true_locational_cost(part, density) == pytest.approx(1.0)
@@ -530,7 +551,7 @@ def test_true_cost_matches_slow_double_loop():
 
 def test_true_cost_is_zero_for_zero_density():
     domain = Domain(6, 6)
-    density = DensityField.constant(domain, 0.0)
+    density = DensityField(domain, np.full((6, 6), 0.0))
     part = compute_partition([[3.0, 3.0]], domain)
     assert true_locational_cost(part, density) == 0.0
 
@@ -566,7 +587,7 @@ def test_true_cost_matches_the_fsum_oracle_on_adversarial_layouts(width, height,
     domain = Domain(width, height, cell_size)
     rng = np.random.default_rng(width * 7 + height)
     density = DensityField(domain, rng.uniform(0.0, 3.0, size=(height, width)))
-    zero = DensityField.constant(domain, 0.0)
+    zero = DensityField(domain, np.full((height, width), 0.0))
     for pos in _cost_layouts(rng, domain):
         part = compute_partition(pos, domain)
         assert true_locational_cost(part, density) == pytest.approx(
@@ -580,7 +601,7 @@ def test_true_cost_matches_the_fsum_oracle_on_every_scenario(scenario):
     density = build_scenario(scenario, domain)
     rng = np.random.default_rng(len(scenario))
     # random layouts, and agents near the blobs' centres, where the cost is smallest
-    centres = [b.center for b in density.analytic.blobs] or [(60.0, 34.0)]
+    centres = [b.center for b in scenario_mixture(scenario, domain).blobs] or [(60.0, 34.0)]
     layouts = _cost_layouts(rng, domain)
     for n in (1, 4, 12):
         near = np.array(centres)[np.arange(n) % len(centres)] + rng.normal(0, 0.5, size=(n, 2))

@@ -39,13 +39,14 @@ def pixel_centres(domain: Domain) -> np.ndarray:
 
 @pytest.mark.parametrize("domain", DOMAINS, ids=lambda d: f"{d.width}x{d.height}@{d.cell_size}")
 def test_raster_bytes_equal_value_at_and_the_uncut_formula(domain):
-    fields = [build_scenario(name, domain) for name in _SCENARIOS]
-    fields += [build_scenario("custom", domain, params) for params in CUSTOM.values()]
+    cases = [(name, None) for name in _SCENARIOS]
+    cases += [("custom", params) for params in CUSTOM.values()]
     points = pixel_centres(domain)
-    for field in fields:
-        raster = field.values.tobytes()
-        assert field.analytic.value_at(points).tobytes() == raster
-        assert reference(field.analytic, points).tobytes() == raster
+    for name, params in cases:
+        raster = build_scenario(name, domain, params).values.tobytes()
+        mixture = scenario_mixture(name, domain, params)
+        assert mixture.value_at(points).tobytes() == raster
+        assert reference(mixture, points).tobytes() == raster
 
 
 def test_the_custom_cases_reach_both_sides_of_the_cut():

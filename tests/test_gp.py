@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gpcover import (Domain, Hyperparams, SingularityError, SparseGP, greedy_select,
-                     kernel_matrix, log_marginal_likelihood, merge_inducing, posterior,
-                     posterior_mean, refit_hyperparams, smw_extend)
+                     kernel_matrix, log_marginal_likelihood, merge_inducing,
+                     posterior_covariance_product, posterior_mean, refit_hyperparams,
+                     smw_extend)
 from gpcover.gp import lattice_posterior_mean
 
 from oracles import dense_posterior, greedy_oracle, se_kernel_matrix
@@ -22,6 +23,11 @@ def _random_inducing(rng, n, span=5.0):
     pts = rng.uniform(-span, span, size=(n, 2))
     vals = rng.normal(size=n)
     return np.column_stack([pts, vals])
+
+
+def _covariance(gp, query):
+    """The dense posterior covariance: the covariance product of the identity."""
+    return posterior_covariance_product(gp, query, np.eye(len(query)))
 
 
 def test_kernel_at_zero_distance_is_signal_variance():
@@ -62,18 +68,18 @@ def test_kernel_matrix_matches_pairwise_kernel():
 def test_empty_model_returns_the_prior():
     h = Hyperparams(1.0, 3.0, 0.1, prior_mean=0.7)
     gp = SparseGP.fit(np.zeros((0, 3)), h)
-    mean, cov = posterior(gp, [[0.0, 0.0], [1.0, 1.0]])
-    np.testing.assert_allclose(mean, [0.7, 0.7])
-    assert cov[0, 0] == pytest.approx(3.0)
-    assert cov[1, 1] == pytest.approx(3.0)
+    query = [[0.0, 0.0], [1.0, 1.0]]
+    np.testing.assert_allclose(posterior_mean(gp, query), [0.7, 0.7])
+    cov = _covariance(gp, query)
+    np.testing.assert_array_equal(cov, kernel_matrix(query, query, h))
+    assert cov[0, 0] == cov[1, 1] == 3.0
 
 
 def test_noiseless_model_interpolates_its_data():
     h = Hyperparams(1.0, 2.0, 0.0)
     gp = SparseGP.fit([[0.0, 0.0, 1.5]], h)
-    mean, cov = posterior(gp, [[0.0, 0.0]])
-    assert mean[0] == pytest.approx(1.5, abs=1e-12)
-    assert abs(cov[0, 0]) < 1e-12
+    assert posterior_mean(gp, [[0.0, 0.0]])[0] == pytest.approx(1.5, abs=1e-12)
+    assert abs(_covariance(gp, [[0.0, 0.0]])[0, 0]) < 1e-12
 
 
 def test_posterior_matches_dense_oracle():
@@ -81,19 +87,30 @@ def test_posterior_matches_dense_oracle():
     inducing = _random_inducing(rng, 5)
     queries = rng.uniform(-5, 5, size=(9, 2))
     gp = SparseGP.fit(inducing, HYPER)
-    mean, cov = posterior(gp, queries)
     ref_mean, ref_cov = dense_posterior(inducing[:, :2], inducing[:, 2], HYPER, queries)
-    np.testing.assert_allclose(mean, ref_mean, atol=1e-10)
-    np.testing.assert_allclose(cov, ref_cov, atol=1e-10)
+    np.testing.assert_allclose(posterior_mean(gp, queries), ref_mean, atol=1e-10)
+    np.testing.assert_allclose(_covariance(gp, queries), ref_cov, atol=1e-10)
 
 
-def test_posterior_mean_agrees_with_full_posterior():
+def test_covariance_product_is_the_dense_covariance_times_the_vector():
+    # 150 queries span three row blocks, the last one partial
     rng = np.random.default_rng(3)
-    gp = SparseGP.fit(_random_inducing(rng, 8), HYPER)
-    queries = rng.uniform(-5, 5, size=(20, 2))
-    mean_only = posterior_mean(gp, queries)
-    mean_full, _ = posterior(gp, queries)
-    np.testing.assert_array_equal(mean_only, mean_full)
+    for n in (0, 8):
+        inducing = _random_inducing(rng, n)
+        gp = SparseGP.fit(inducing, HYPER)
+        queries = rng.uniform(-5, 5, size=(150, 2))
+        if n:
+            _, ref_cov = dense_posterior(inducing[:, :2], inducing[:, 2], HYPER, queries)
+        else:
+            ref_cov = kernel_matrix(queries, queries, HYPER)
+        v = rng.normal(size=(150, 3))
+        product = posterior_covariance_product(gp, queries, v)
+        assert product.shape == (150, 3)
+        np.testing.assert_allclose(product, ref_cov @ v, rtol=0, atol=1e-9)
+        for j in range(3):
+            column = posterior_covariance_product(gp, queries, v[:, j])
+            assert column.shape == (150,)
+            np.testing.assert_allclose(column, product[:, j], rtol=0, atol=1e-12)
 
 
 def test_lattice_posterior_mean_is_bit_identical_to_the_dense_mean():
@@ -179,7 +196,7 @@ def test_singular_gram_falls_back_to_the_first_jitter(monkeypatch):
 def test_posterior_variance_never_exceeds_prior(seed, n):
     rng = np.random.default_rng(seed)
     gp = SparseGP.fit(_random_inducing(rng, n), HYPER)
-    _, cov = posterior(gp, rng.uniform(-6, 6, size=(5, 2)))
+    cov = _covariance(gp, rng.uniform(-6, 6, size=(5, 2)))
     assert np.all(np.diag(cov) <= HYPER.signal_variance + 1e-9)
     assert np.all(np.diag(cov) >= -1e-9)
 

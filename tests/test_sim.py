@@ -17,7 +17,7 @@ from gpcover import (AccessAudit, AgentState, ConfigurationError, Decentralizati
                      SparseGP, bilinear, build_scenario, cell_pixels, compute_partition,
                      initial_positions, mass_centroid, posterior_mean, run,
                      run_lloyd_baseline, sample_density)
-from gpcover.density import DensityField
+from gpcover.density import DensityField, scenario_mixture
 
 TINY = SimConfig(width=24, height=14, scenario="four_gaussians", n_agents=3, seed=5,
                  rounds=8, T=3, M=12, beta=1.0, eta=0.8, eta_adam=0.3, v_max=1.5,
@@ -274,8 +274,7 @@ def test_stationary_start_settles_after_the_plateau():
     ys = np.linspace(3.0, 37.0, 7)
     gx, gy = np.meshgrid(xs, ys)
     seed_pts = np.column_stack([gx.ravel(), gy.ravel()])
-    field = build_scenario("single_peak", Domain(domain_w, domain_h))
-    seed_vals = field.analytic.value_at(seed_pts)
+    seed_vals = scenario_mixture("single_peak", Domain(domain_w, domain_h)).value_at(seed_pts)
     config = SimConfig(width=domain_w, height=domain_h, scenario="single_peak",
                        n_agents=1, seed=1, rounds=30, T=5, M=80, beta=0.0,
                        eta=1.0, eta_adam=0.25, v_max=2.0, k=10, epsilon=0.02,

@@ -14,7 +14,11 @@ Each checkout runs its own benchmark code on its own library; the benchmark
 sets its own BLAS thread count. Every run records ``os.getloadavg()``, the
 machine's 1, 5 and 15 minute load averages when it starts, since other work on
 the machine moves the timings: each workload's ``loadavg`` lists the pairs'
-per side, in seed order, and each traced run keeps its own. Each side's ``src_sha256`` (see
+per side, in seed order, and each traced run keeps its own. The load average
+cannot see a virtual machine's host taking its CPUs, so every run also records
+``steal``: how far the ``steal`` column of the ``cpu`` line of ``/proc/stat``
+(in clock ticks, summed over CPUs) moved during the run, or null where that file
+cannot be read; each workload lists it beside ``loadavg``. Each side's ``src_sha256`` (see
 :func:`src_digest`) ties the record to the library it measured, committed or
 not.
 """
@@ -46,13 +50,26 @@ def src_digest(checkout: Path) -> str:
     return digest.hexdigest()
 
 
+def steal_ticks() -> int | None:
+    """The ``steal`` column of ``/proc/stat``'s ``cpu`` line, or None where it cannot be read."""
+    try:
+        with open("/proc/stat") as stat:
+            fields = stat.readline().split()
+        return int(fields[8]) if fields[0] == "cpu" else None
+    except (OSError, IndexError, ValueError):
+        return None
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One benchmark run: the load averages at its start, its environment line and
-    its final JSON line."""
+    """One benchmark run: the load averages at its start, the steal ticks during it,
+    its environment line and its final JSON line."""
     loadavg = list(os.getloadavg())
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
+    steal_start = steal_ticks()
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    steal_end = steal_ticks()
+    steal = None if steal_start is None or steal_end is None else steal_end - steal_start
     lines = proc.stdout.splitlines()
     env = next((json.loads(line[4:]) for line in lines if line.startswith("env ")), None)
     try:
@@ -60,8 +77,8 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: in
     except (IndexError, json.JSONDecodeError):
         result = {"correct": False, "attempted": 0, "failed": None, "metrics": {},
                   "error": proc.stderr[-2000:]}
-    return {"seed": seed, "returncode": proc.returncode, "loadavg": loadavg, "env": env,
-            **result}
+    return {"seed": seed, "returncode": proc.returncode, "loadavg": loadavg, "steal": steal,
+            "env": env, **result}
 
 
 def summary(values):
@@ -135,6 +152,7 @@ def main(argv=None) -> int:
             "all_correct": {s: all(p[s]["correct"] for p in pairs) for s in sides},
             "env": {s: pairs[0][s]["env"] for s in sides},
             "loadavg": {s: [p[s]["loadavg"] for p in pairs] for s in sides},
+            "steal": {s: [p[s]["steal"] for p in pairs] for s in sides},
             "metrics": {m["name"]: compare(pairs, m["name"], m["better"])
                         for m in declared["end_to_end"]},
             "traced": traced(sides, workload, seconds),

@@ -13,8 +13,11 @@ table gives the median over seeds of the method/Lloyd ratio and of the
 method's position between full and no information,
 ``(method - Lloyd) / (uniform_cvt - Lloyd)``: 0 is Lloyd's cost, 1 the
 uniform configuration's. On the uniform scenario itself ``uniform_cvt`` is
-Lloyd's cost, so the position is undefined and reported as null. The library
-is imported from ``src/`` next to this directory.
+Lloyd's cost, so the position is undefined and reported as null. A workload
+mapping may fix ``signal_variance0`` and ``noise_sigma`` for its own scenario
+(``desk`` fixes them for four_gaussians); on any other scenario both are left
+out, so ``run()`` derives them from that scenario's density. The library is
+imported from ``src/`` next to this directory.
 """
 
 from __future__ import annotations
@@ -45,6 +48,22 @@ SCALES = ("desk", "paper")
 SEEDS = range(1, 6)
 ROUNDS = 150
 
+# prior and noise that a workload may fix for its own scenario only
+SCENARIO_FITTED = ("signal_variance0", "noise_sigma")
+
+
+def scenario_mapping(scale: str, scenario: str, seed: int) -> dict:
+    """The workload's mapping on ``scenario``, at ``seed`` and ``ROUNDS`` rounds.
+
+    Off the workload's own scenario, ``SCENARIO_FITTED`` is dropped, so that
+    ``run()`` derives the prior and the noise from the scenario's density.
+    """
+    mapping = dict(WORKLOADS[scale].mapping, seed=seed, rounds=ROUNDS)
+    if config_from_dict(mapping).scenario != scenario:
+        for key in SCENARIO_FITTED:
+            mapping.pop(key, None)
+    return dict(mapping, scenario=scenario)
+
 
 def final_costs(mapping: dict, uniform_end: np.ndarray) -> dict:
     """Final true costs of the method, of Lloyd and of the uniform-density end positions."""
@@ -65,11 +84,11 @@ def cell(scale: str, scenario: str, uniform_ends: dict) -> dict:
     runs = []
     for seed in SEEDS:
         t0 = time.perf_counter()
-        base = dict(WORKLOADS[scale].mapping, seed=seed, rounds=ROUNDS)
         if seed not in uniform_ends:
-            uniform = run_lloyd_baseline(config_from_dict(dict(base, scenario="uniform")))
+            uniform = run_lloyd_baseline(config_from_dict(
+                scenario_mapping(scale, "uniform", seed)))
             uniform_ends[seed] = uniform.positions[-1]
-        runs.append(dict(seed=seed, **final_costs(dict(base, scenario=scenario),
+        runs.append(dict(seed=seed, **final_costs(scenario_mapping(scale, scenario, seed),
                                                   uniform_ends[seed])))
         print(f"{scale} {scenario} seed {seed}: ratio {runs[-1]['ratio']:.4g} "
               f"({time.perf_counter() - t0:.1f} s)", flush=True)
