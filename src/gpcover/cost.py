@@ -8,8 +8,9 @@ sums with deterministic subsampling so repeated evaluation is bit-stable.
 
 Every node is a pixel centre, so a cell is its owner mask on its bounding box.
 The expected term takes one :func:`gpcover.gp.lattice_posterior_mean` product
-per cell and gathers it and the per-axis offsets with the mask, in row-major
-order, or at every ``single_stride``-th flat index. The exploration term works on
+on the box, keeps the mask's pixels or every ``single_stride``-th of them in
+row-major order, and needs only the kept mean's column and row sums, since
+``||q - p||^2`` splits into an x part and a y part. The exploration term works on
 at most ``pair_budget`` of those nodes, evenly spaced in row-major order, and
 reads their covariance through :func:`gpcover.gp.posterior_covariance_product`.
 """
@@ -72,23 +73,13 @@ def _share(cell: CellPixels, n: int) -> float:
     return cell.pixel_area if n == k else k * cell.pixel_area / n
 
 
-def _strided_terms(cell: CellPixels, stride: int, gp: SparseGP, px: float,
-                   py: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The posterior mean, ``x - px`` and ``y - py`` at every ``stride``-th pixel of
-    the cell, row-major. The mean is one lattice product on those pixels' own box,
-    whose extent sets its GEMM blocks and so its bits (``//`` beats ``np.divmod``)."""
-    bx, by = cell.axis_centers()
+def _picked(cell: CellPixels, stride: int) -> np.ndarray:
+    """The box mask of every ``stride``-th pixel of the cell in row-major order."""
     if stride == 1:
-        mask = cell.mask
-        return (lattice_posterior_mean(gp, bx, by)[mask.ravel()],
-                np.broadcast_to(bx - px, mask.shape)[mask],
-                np.broadcast_to((by - py)[:, None], mask.shape)[mask])
-    index = cell.flat[::stride]
-    iy = index // len(bx)
-    ix = index - iy * len(bx)
-    x0, x1 = int(ix.min()), int(ix.max()) + 1
-    mean = lattice_posterior_mean(gp, bx[x0:x1], by[:iy[-1] + 1])
-    return mean.take(iy * (x1 - x0) + ix - x0), (bx - px).take(ix), (by - py).take(iy)
+        return cell.mask
+    pick = np.zeros(cell.mask.shape, dtype=bool)
+    pick.ravel()[cell.flat[::stride]] = True
+    return pick
 
 
 def _pair_nodes(cell: CellPixels, budget: int) -> tuple[np.ndarray, np.ndarray]:
@@ -108,20 +99,27 @@ def expected_cost(cell: CellPixels, agent_pos, gp: SparseGP,
                   quad: QuadratureSpec) -> tuple[float, np.ndarray]:
     """Expected coverage cost of the cell and its gradient in the agent position.
 
-    The posterior mean is evaluated on the lattice of the cell's (strided)
-    pixels' bounding box, gathered at those pixels and clipped at zero before
-    integrating, matching the non-negativity of the underlying density. An
-    empty cell costs nothing.
+    The posterior mean is one lattice product on the cell's bounding box,
+    clipped at zero in place, matching the non-negativity of the underlying
+    density, and zeroed off the pixels that :func:`_picked` leaves out: at a
+    ``single_stride`` above 1, all but every ``single_stride``-th pixel.
+    Its column sums ``C`` and row sums ``R`` then give ``0.5 * share * (C .
+    (x - px)^2 + R . (y - py)^2)`` and the gradient ``-share * (C . (x - px),
+    R . (y - py))``. An empty cell costs nothing.
     """
     px, py = np.asarray(agent_pos, dtype=float).reshape(2)
     if len(cell) == 0:
         return 0.0, np.zeros(2)
-    mw, dx, dy = _strided_terms(cell, quad.single_stride, gp, px, py)
-    np.maximum(mw, 0.0, out=mw)
-    mw *= _share(cell, len(mw))
-    d2 = dx * dx
-    d2 += dy * dy
-    return 0.5 * float(d2 @ mw), -np.array([dx @ mw, dy @ mw])
+    pick = _picked(cell, quad.single_stride)
+    bx, by = cell.axis_centers()
+    mean = lattice_posterior_mean(gp, bx, by).reshape(pick.shape)
+    np.maximum(mean, 0.0, out=mean)
+    mean *= pick
+    col, row = mean.sum(axis=0), mean.sum(axis=1)
+    dx, dy = bx - px, by - py
+    share = _share(cell, np.count_nonzero(pick))
+    return (0.5 * share * float(col @ (dx * dx) + row @ (dy * dy)),
+            -share * np.array([col @ dx, row @ dy]))
 
 
 def variance_cost(cell: CellPixels, agent_pos, gp: SparseGP,

@@ -13,9 +13,9 @@ Queries on a pixel grid go through :func:`lattice_posterior_mean`: the SE
 kernel factors per axis there, so the mean over a lattice of pixel centres is a
 product of per-axis factors (exact Kronecker structure, no interpolation),
 taken in row blocks small enough that BLAS runs each on one thread and the
-result does not depend on the thread count. The expected cost reads it on a
-cell's bounding box, and the rmse metric on its strided lattice; both agree
-with :func:`posterior_mean`, which serves arbitrary query points, to rounding.
+result does not depend on the thread count. The expected cost sums it per axis
+on a cell's bounding box, and the rmse metric reads its strided lattice; both
+agree with :func:`posterior_mean`, which serves any query points, to rounding.
 The covariance is read only through :func:`posterior_covariance_product`, a
 product with a vector (the exploration term's) or with the identity (dense).
 """
@@ -199,9 +199,10 @@ def posterior_covariance_product(gp: SparseGP, query, v) -> np.ndarray:
     return out
 
 
-def _axis_factor(centers: np.ndarray, coords: np.ndarray, lengthscale: float) -> np.ndarray:
-    """One axis's factor of the SE kernel, ``exp(-(c - z)^2 / 2l^2)``, ``(len(c), len(z))``."""
-    out = _squared_distances(centers[:, None], coords[:, None])
+def _axis_factor(a: np.ndarray, b: np.ndarray, lengthscale: float) -> np.ndarray:
+    """One axis's factor of the SE kernel, ``exp(-(a - b)^2 / 2l^2)``, ``(len(a), len(b))``.
+    Swapping ``a`` and ``b`` gives the transpose bit for bit."""
+    out = _squared_distances(a[:, None], b[:, None])
     out /= -2.0 * lengthscale ** 2
     return np.exp(out, out=out)
 
@@ -214,19 +215,20 @@ def lattice_posterior_mean(gp: SparseGP, xs, ys) -> np.ndarray:
     ``K(q, z) = sv * ex[i] * ey[j]``, so the mean is ``prior_mean +
     (ey * sv * weights) @ ex.T``, taken in row blocks of at most
     ``_SERIAL_GEMM_MACS`` multiply-adds so that its bits do not depend on the
-    BLAS thread count. Agrees with :func:`posterior_mean` to rounding.
+    BLAS thread count, each against ``ex.T`` built C-contiguous (faster than a
+    transposed view). Agrees with :func:`posterior_mean` to rounding.
     """
     xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
     hyper = gp.hyper
     if len(gp.points) == 0 or len(xs) == 0 or len(ys) == 0:
         return np.full(len(xs) * len(ys), hyper.prior_mean)
-    ex = _axis_factor(xs, gp.points[:, 0], hyper.lengthscale)
+    ext = _axis_factor(gp.points[:, 0], xs, hyper.lengthscale)
     ey = _axis_factor(ys, gp.points[:, 1], hyper.lengthscale)
     ey *= hyper.signal_variance * gp.weights
     mean = np.empty((len(ys), len(xs)))
     rows = max(1, _SERIAL_GEMM_MACS // (len(xs) * len(gp.weights)))
     for r in range(0, len(ys), rows):
-        np.matmul(ey[r:r + rows], ex.T, out=mean[r:r + rows])
+        np.matmul(ey[r:r + rows], ext, out=mean[r:r + rows])
     mean += hyper.prior_mean
     return mean.ravel()
 

@@ -14,8 +14,8 @@ from gpcover import (Domain, Hyperparams, QuadratureSpec, SimConfig, SparseGP, b
                      kernel_matrix, mass_centroid, posterior_mean, run_lloyd_baseline,
                      true_locational_cost, variance_cost)
 from gpcover.density import DensityField, GaussianBlob, GaussianMixture, scenario_mixture
-from gpcover.cost import _pair_nodes, _share, _strided_terms
-from gpcover.gp import _SERIAL_GEMM_MACS, _axis_factor
+from gpcover.cost import _pair_nodes, _picked, _share
+from gpcover.gp import _SERIAL_GEMM_MACS, _axis_factor, lattice_posterior_mean
 
 from oracles import brute_force_nearest, central_fd, cell_from_index, cell_index
 
@@ -36,19 +36,23 @@ def _seeded_gp(rng, domain, n=12, prior_mean=0.0):
 
 
 def test_single_quadrature_weights_sum_to_cell_area():
-    # both gathers, the mask's and the flat indices', give every stride-th pixel
-    # in row-major order, each with its own posterior mean
-    domain = Domain(13, 9)
-    part = compute_partition([[3.0, 4.0], [10.0, 2.0]], domain)
+    # the pick mask holds every stride-th pixel in row-major order, the box
+    # mean at each is its own posterior mean, and the picks' shares sum to the area
+    domain = Domain(13, 9, cell_size=0.5)
+    part = compute_partition([[1.5, 2.0], [5.0, 1.0]], domain)
     gp = _seeded_gp(np.random.default_rng(3), domain)
     for i in range(2):
         cell = cell_pixels(part, i, domain)
+        mean = lattice_posterior_mean(gp, *cell.axis_centers())
         for stride in (1, 2, 3, 5):
-            mean, x, y = _strided_terms(cell, stride, gp, 0.0, 0.0)
+            pick = _picked(cell, stride)
+            assert pick.shape == cell.mask.shape
+            np.testing.assert_array_equal(np.flatnonzero(pick), cell.flat[::stride])
             nodes = cell.centers[::stride]
-            np.testing.assert_array_equal(np.column_stack([x, y]), nodes)
-            np.testing.assert_allclose(mean, posterior_mean(gp, nodes), rtol=1e-12, atol=1e-12)
-            assert _share(cell, len(mean)) * len(mean) == pytest.approx(len(cell), rel=1e-12)
+            np.testing.assert_allclose(mean[pick.ravel()], posterior_mean(gp, nodes),
+                                       rtol=1e-12, atol=1e-12)
+            count = np.count_nonzero(pick)
+            assert _share(cell, count) * count == pytest.approx(len(cell) * 0.25, rel=1e-12)
 
 
 def test_pair_quadrature_weights_sum_to_cell_area():
@@ -146,31 +150,35 @@ def test_cost_terms_match_the_dense_formulas():
                     assert np.linalg.norm(grad - ref_grad) <= 1e-12 * np.linalg.norm(ref_grad)
 
 
-def _first_grid_expected(cell, pos, gp, stride):
-    """The expected term as first written on the grid: ``divmod`` indices, one box
-    GEMM gathered by a 2-D index, and a fresh array for every step."""
+def _per_axis_expected(cell, pos, gp, stride):
+    """The expected term from per-axis moments, built from the cell's indices in
+    its whole domain: one box GEMM against a contiguous ``ex.T``, the clipped
+    mean kept at the strided pixels by a 2-D index, its column sums as row
+    adds in row order and its row sums one row at a time."""
     px, py = pos
     k = len(cell)
     iy, ix = np.divmod(cell_index(cell)[::stride], cell.domain.width)
     weight = cell.pixel_area if len(ix) == k else k * cell.pixel_area / len(ix)
     xs, ys = cell.domain.axis_centers()
+    rows, columns = cell.mask.shape
+    bx, by = xs[cell.x0:cell.x0 + columns], ys[cell.y0:cell.y0 + rows]
     hyper = gp.hyper
-    if len(gp) == 0:
-        mean = np.full(ix.shape, hyper.prior_mean)
-    else:
-        x0, y0 = ix.min(), iy.min()
-        ex = _axis_factor(xs[x0:ix.max() + 1], gp.points[:, 0], hyper.lengthscale)
-        ey = _axis_factor(ys[y0:iy.max() + 1], gp.points[:, 1], hyper.lengthscale)
-        assert ex.size * len(ey) <= _SERIAL_GEMM_MACS  # one GEMM block at these sizes
-        box = (ey * (hyper.signal_variance * gp.weights)) @ ex.T
-        mean = hyper.prior_mean + box[iy - y0, ix - x0]
-    mw = np.maximum(mean, 0.0) * weight
-    dx = xs[ix] - px
-    dy = ys[iy] - py
-    return 0.5 * float((dx * dx + dy * dy) @ mw), -np.array([dx @ mw, dy @ mw])
+    ex = _axis_factor(bx, gp.points[:, 0], hyper.lengthscale)
+    ey = _axis_factor(by, gp.points[:, 1], hyper.lengthscale)
+    assert ex.size * rows <= _SERIAL_GEMM_MACS  # one GEMM block at these sizes
+    box = hyper.prior_mean + (ey * (hyper.signal_variance * gp.weights)) @ ex.T.copy()
+    kept = np.zeros(box.shape)
+    kept[iy - cell.y0, ix - cell.x0] = np.maximum(box, 0.0)[iy - cell.y0, ix - cell.x0]
+    col = kept[0].copy()
+    for r in range(1, rows):
+        col += kept[r]
+    row = np.array([kept[r].sum() for r in range(rows)])
+    dx, dy = bx - px, by - py
+    return (0.5 * weight * float(col @ (dx * dx) + row @ (dy * dy)),
+            -weight * np.array([col @ dx, row @ dy]))
 
 
-def test_expected_cost_is_bit_identical_to_the_first_grid_form():
+def test_expected_cost_is_bit_identical_to_the_per_axis_form():
     rng = np.random.default_rng(43)
     domain = Domain(40, 25, cell_size=0.5)
     pos = rng.uniform([1, 1], [19, 12], size=(3, 2))
@@ -180,13 +188,12 @@ def test_expected_cost_is_bit_identical_to_the_first_grid_form():
     cells += [(cell_from_index([9 * 40 + 21], domain), pos[0]),
               (cell_from_index(np.arange(6 * 40 + 2, 6 * 40 + 37), domain), pos[1]),
               (cell_from_index([iy * 40 + (iy * 3) // 2 for iy in range(25)], domain), pos[2])]
-    # triangles whose strided pixels miss their leftmost columns: the strided
-    # sums' lattice spans a narrower box than the cell's, which moves its bits
+    # triangles whose strided pixels miss their leftmost columns, so that some
+    # columns and rows of the box hold no kept pixel
     cells += [(cell_from_index([iy * 40 + ix for iy in range(rows)
                                 for ix in range(14 - iy, 17 + iy)], domain), pos[0])
               for rows in (2, 3, 12)]
-    # 60 rows, as in the benchmark's runs, is where the lattice's extent moves
-    # its bits most often
+    # 60 rows, as in the benchmark's runs
     for n, prior_mean in ((0, 0.4), (0, -0.2), (15, 0.0), (15, -0.6), (60, 0.1)):
         # values of both signs, so that the clip at zero takes part
         rows = np.column_stack([rng.uniform([0, 0], [20, 12.5], size=(n, 2)),
@@ -195,7 +202,7 @@ def test_expected_cost_is_bit_identical_to_the_first_grid_form():
         for cell, p in cells:
             for stride in (1, 2, 3):
                 value, grad = expected_cost(cell, p, gp, QuadratureSpec(single_stride=stride))
-                ref_value, ref_grad = _first_grid_expected(cell, p, gp, stride)
+                ref_value, ref_grad = _per_axis_expected(cell, p, gp, stride)
                 assert value == ref_value
                 np.testing.assert_array_equal(grad, ref_grad)
 

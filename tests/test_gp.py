@@ -12,7 +12,7 @@ from gpcover import (Domain, Hyperparams, SingularityError, SparseGP, greedy_sel
                      kernel_matrix, log_marginal_likelihood, merge_inducing,
                      posterior_covariance_product, posterior_mean, refit_hyperparams,
                      smw_extend)
-from gpcover.gp import lattice_posterior_mean
+from gpcover.gp import _SERIAL_GEMM_MACS, lattice_posterior_mean
 
 from oracles import dense_posterior, greedy_oracle, se_kernel_matrix
 
@@ -141,6 +141,23 @@ def test_lattice_posterior_mean_is_bit_identical_to_the_dense_mean():
             scale = max(float(np.max(np.abs(rows[:, 2] - hyper.prior_mean), initial=0.0)),
                         abs(hyper.prior_mean))
             assert np.max(np.abs(lattice - dense)) <= 1e-12 * scale
+    # a paper-sized cell box under 60 rows takes 37 row blocks of 9 rows, the
+    # last partial; a sample of its pixels, each block's first and last row among
+    # them, against the dense mean
+    domain = Domain(454, 327)
+    xs, ys = domain.axis_centers()
+    rows = np.column_stack([rng.uniform([0, 0], [454, 327], size=(60, 2)),
+                            rng.uniform(-1.0, 3.0, size=60)])
+    hyper = Hyperparams(40.0, 2.0, 1e-3, prior_mean=0.3)
+    gp = SparseGP.fit(rows, hyper)
+    assert 9 * len(xs) * len(gp) <= _SERIAL_GEMM_MACS < 10 * len(xs) * len(gp)
+    lattice = lattice_posterior_mean(gp, xs, ys).reshape(len(ys), len(xs))
+    iy = np.concatenate([np.arange(0, 327, 9), np.arange(8, 327, 9), [326],
+                         rng.integers(0, 327, size=200)])
+    ix = rng.integers(0, 454, size=len(iy))
+    dense = posterior_mean(gp, np.column_stack([xs[ix], ys[iy]]))
+    scale = max(float(np.max(np.abs(rows[:, 2] - hyper.prior_mean))), abs(hyper.prior_mean))
+    assert np.max(np.abs(lattice[iy, ix] - dense)) <= 1e-12 * scale
 
 
 def test_with_hyper_skips_only_the_refits_that_cannot_change_the_model():

@@ -172,16 +172,45 @@ with open(sys.argv[1], "rb") as f:
 """
 
 
+# the paper scale: the cost reports of the four cells of the benchmark's paper
+# start (perfbench/workloads.py's PAPER_START) under a 60-row GP, on boxes of
+# about 300 by 490 pixels in 32-39 GEMM blocks each, and a short run of the
+# paper workload; both moved with the thread count while the expected cost
+# reduced each cell's 130,000 pixels with 1-D products of that length
+_PAPER_THREAD_PROBE = """
+import hashlib, sys
+import numpy as np
+from gpcover import (Domain, Hyperparams, QuadratureSpec, SimConfig, SparseGP, cell_cost_report,
+                     cell_pixels, compute_partition, run)
+start = [[297.6, 151.2], [652.8, 178.2], [326.4, 383.4], [633.6, 372.6]]
+domain = Domain(960, 540)
+part = compute_partition(start, domain)
+rng = np.random.default_rng(5)
+rows = np.column_stack([rng.uniform([0, 0], [960, 540], size=(60, 2)), rng.uniform(-0.2, 1, 60)])
+gp = SparseGP.fit(rows, Hyperparams(21.6, 1.0, 1e-3))
+report = hashlib.sha256()
+for i, pos in enumerate(start):
+    r = cell_cost_report(cell_pixels(part, i, domain), pos, gp, QuadratureSpec(beta=2.0))
+    report.update(np.array([r.expected, r.std, *r.grad_expected, *r.grad_std]).tobytes())
+trace = run(SimConfig(rounds=20, seed=4, init_mode="explicit", explicit_positions=start))
+trace.to_csv(sys.argv[1])
+with open(sys.argv[1], "rb") as f:
+    print(report.hexdigest(), hashlib.sha256(f.read()).hexdigest())
+"""
+
+
 def test_runs_are_bit_identical_under_one_and_two_blas_threads(tmp_path):
     src = str(Path(__file__).resolve().parents[1] / "src")
     digests = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        out = subprocess.run([sys.executable, "-c", _THREAD_PROBE, str(tmp_path / f"{threads}.csv")],
-                             env=env, capture_output=True, text=True, check=True)
-        digests.append(out.stdout.split())
-    assert digests[0] == digests[1]
+        csv = str(tmp_path / f"{threads}.csv")
+        digests.append([subprocess.run([sys.executable, "-c", probe, csv], env=env,
+                                       capture_output=True, text=True, check=True).stdout.split()
+                        for probe in (_THREAD_PROBE, _PAPER_THREAD_PROBE)])
+    assert digests[0][0] == digests[1][0], "desk"
+    assert digests[0][1] == digests[1][1], "paper"
 
 
 def test_refit_run_reproduces_its_recorded_numbers():

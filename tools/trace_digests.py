@@ -31,7 +31,8 @@ from __future__ import annotations
 
 import os
 
-# one BLAS thread, as in the benchmark: long 1-D products are threaded otherwise
+# one BLAS thread, as in the benchmark: a round's matrices are small, more threads
+# only add synchronisation, and the digests are then those of the runs it measures
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
