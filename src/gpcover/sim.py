@@ -299,7 +299,6 @@ def run(config: SimConfig, audit: AccessAudit | None = None, sample_probe=None) 
         for i, agent in enumerate(agents):
             with audit.agent(i):
                 agent.hyper = new_params[i]
-                agent.gp = agent.gp.with_hyper(new_params[i])
 
         # each agent samples the hidden density at its own position
         for i, agent in enumerate(agents):
@@ -328,9 +327,12 @@ def run(config: SimConfig, audit: AccessAudit | None = None, sample_probe=None) 
                     agent.gp = SparseGP.fit(selected, agent.hyper)
                     agent.buffer.clear()
 
-        # one motion step down the spatially-informed cost
+        # one motion step down the spatially-informed cost, under the agreed
+        # hyperparameters: a refresh has fitted them already, so each model is
+        # fitted once a round
         for i, agent in enumerate(agents):
             with audit.agent(i):
+                agent.gp = agent.gp.with_hyper(agent.hyper)
                 cell = cell_pixels(partition, i, domain)
                 report = cell_cost_report(cell, agent.pos, agent.gp, quad)
                 agent.opt = record_std(agent.opt, report.std)

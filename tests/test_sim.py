@@ -79,18 +79,27 @@ def test_explicit_init_is_used_verbatim():
 
 def test_buffer_lifecycle_follows_the_refresh_period():
     observed: list[list[int]] = []
+    agents: list = []
     hyper_consistent: list[bool] = []
+    real_report = sim.cell_cost_report
 
-    def probe(t, agents):
+    def probe(t, team):
+        agents[:] = team
         observed.append([len(agent.buffer) for agent in agents])
-        hyper_consistent.append(all(agent.gp.hyper == agent.hyper for agent in agents))
 
-    run(TINY.with_overrides(rounds=10), sample_probe=probe)
+    def report(cell, pos, gp, quad):
+        # the cost reads agent i's model under agent i's agreed hyperparameters
+        agent = agents[len(hyper_consistent) % len(agents)]
+        hyper_consistent.append(gp is agent.gp and gp.hyper == agent.hyper)
+        return real_report(cell, pos, gp, quad)
+
+    with patch.object(sim, "cell_cost_report", report):
+        run(TINY.with_overrides(rounds=10), sample_probe=probe)
     # the probe fires after sampling, before any refresh: sizes cycle with T=3
     expected = [1 if t == 0 else ((t - 1) % 3) + 1 for t in range(10)]
     for t, sizes in enumerate(observed):
         assert sizes == [expected[t]] * TINY.n_agents
-    assert all(hyper_consistent)
+    assert len(hyper_consistent) == 10 * TINY.n_agents and all(hyper_consistent)
 
 
 def test_rmse_is_the_dense_rmse_of_the_agents_models():
