@@ -80,6 +80,7 @@ class SimConfig:
     # cost shaping
     beta: float = 2.0
     single_stride: int = 1
+    # the exploration term's lattice product costs at most pair_budget**2 multiply-adds
     pair_budget: int = 256
     # optimizer
     eta: float = 5.0

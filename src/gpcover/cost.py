@@ -4,15 +4,19 @@ Each agent scores its own Voronoi cell under its local GP. The expected term
 integrates ``0.5 ||q - p||^2`` against the clipped posterior mean; the
 exploration term is the standard deviation of that same integral under the
 posterior covariance, weighted by ``sqrt(beta)``. All integrals are pixel
-sums with deterministic subsampling so repeated evaluation is bit-stable.
+sums, thinned or blocked deterministically, so repeated evaluation is bit-stable.
 
 Every node is a pixel centre, so a cell is its owner mask on its bounding box.
 The expected term takes one :func:`gpcover.gp.lattice_posterior_mean` product
 on the box, keeps the mask's pixels or every ``single_stride``-th of them in
 row-major order, and needs only the kept mean's column and row sums, since
 ``||q - p||^2`` splits into an x part and a y part. The exploration term works on
-at most ``pair_budget`` of those nodes, evenly spaced in row-major order, and
-reads their covariance through :func:`gpcover.gp.posterior_covariance_product`.
+the same box, cut into square blocks: one node per block, weighted by the
+cell's pixels in it, on a lattice coarse enough that its covariance product
+costs no more than a ``pair_budget x pair_budget`` kernel table would. It
+reads their covariance through one
+:func:`gpcover.gp.lattice_posterior_covariance_product`, from per-axis factors,
+so no cost path builds a kernel table.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import numpy as np
 
 from .density import DensityField
 from .geometry import CellPixels, VoronoiPartition, cell_pixels
-from .gp import SparseGP, lattice_posterior_mean, posterior_covariance_product
+from .gp import SparseGP, lattice_posterior_covariance_product, lattice_posterior_mean
 # not called here: perfbench/tracing.py's TRACE_POINTS look both up on this module
 from .gp import kernel_matrix, posterior_mean  # noqa: F401
 
@@ -38,8 +42,10 @@ class QuadratureSpec:
     """Deterministic quadrature controls for the cell-cost integrals.
 
     ``single_stride`` thins the single-integral pixel sum; ``pair_budget``
-    caps the points entering the O(k^2) covariance double sum. ``beta``
-    weights the exploration term.
+    bounds the covariance double sum's lattice product at ``pair_budget**2``
+    multiply-adds, which sets the block size of its nodes (a budget that
+    reaches blocks of one pixel gives every pixel). ``beta`` weights the
+    exploration term.
     """
 
     single_stride: int = 1
@@ -82,17 +88,30 @@ def _picked(cell: CellPixels, stride: int) -> np.ndarray:
     return pick
 
 
-def _pair_nodes(cell: CellPixels, budget: int) -> tuple[np.ndarray, np.ndarray]:
-    """At most ``budget`` pixel centres of the cell, evenly spaced in row-major order,
-    and their area share. Above the budget the ``linspace`` step exceeds 1, and
-    ``round(y) - round(x) >= y - x - 1 > 0``: the picks are strictly increasing."""
-    k = len(cell)
-    index = cell.flat
-    if k > budget:
-        index = index[np.round(np.linspace(0, k - 1, budget)).astype(np.int64)]
+def _block_nodes(cell: CellPixels, budget: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The exploration term's lattice nodes on the cell's box and their weights.
+
+    The box is cut into ``s x s`` blocks from its first pixel, the last ones
+    partial. Each block's node sits at the mean of its pixel centres along
+    each axis and weighs ``pixel_area`` times the number of the cell's
+    pixels in it. ``s`` is the least stride at which the lattice covariance
+    product, ``ny * nx * (ny + nx)`` multiply-adds on ``nx`` by ``ny`` nodes,
+    costs at most ``budget**2``, the cost of a ``budget x budget`` kernel
+    table. At stride 1 every pixel is a node of weight ``pixel_area``.
+    Returns the node abscissae ``(nx,)``, ordinates ``(ny,)`` and weights
+    ``(ny, nx)``.
+    """
+    rows, columns = cell.mask.shape
+    s = 1
+    while (ny := -(-rows // s)) * (nx := -(-columns // s)) * (ny + nx) > budget * budget:
+        s += 1
     bx, by = cell.axis_centers()
-    iy, ix = np.divmod(index, cell.mask.shape[1])
-    return np.column_stack([bx[ix], by[iy]]), np.full(len(index), _share(cell, len(index)))
+    col0, row0 = np.arange(0, columns, s), np.arange(0, rows, s)
+    xs = 0.5 * (bx[col0] + bx[np.minimum(col0 + s, columns) - 1])
+    ys = 0.5 * (by[row0] + by[np.minimum(row0 + s, rows) - 1])
+    count = np.add.reduceat(np.add.reduceat(cell.mask, row0, axis=0, dtype=np.int64),
+                            col0, axis=1)
+    return xs, ys, count * cell.pixel_area
 
 
 def expected_cost(cell: CellPixels, agent_pos, gp: SparseGP,
@@ -127,23 +146,27 @@ def variance_cost(cell: CellPixels, agent_pos, gp: SparseGP,
     """Std of the cell cost under the GP posterior, with its position gradient.
 
     The variance is the double integral of ``f(q) f(q') cov(q, q')`` over the
-    cell with ``f = 0.5 ||q - p||^2``, evaluated on the pair-budget nodes as
-    ``gw . cov gw`` with one :func:`gpcover.gp.posterior_covariance_product`.
+    cell with ``f = 0.5 ||q - p||^2``, evaluated on the :func:`_block_nodes`
+    lattice as ``gw . cov gw`` with one
+    :func:`gpcover.gp.lattice_posterior_covariance_product`. Its gradient is
+    ``-sum w (q - p) (cov gw) / (2 std)``, whose x and y parts are the
+    weighted product's column and row sums against the per-axis offsets.
     When the std falls below ``STD_FLOOR`` it is returned as is with a zero
     gradient (the direction is numerically meaningless there).
     """
-    pos = np.asarray(agent_pos, dtype=float).reshape(2)
+    px, py = np.asarray(agent_pos, dtype=float).reshape(2)
     if len(cell) == 0:
         return 0.0, np.zeros(2)
-    nodes, weights = _pair_nodes(cell, quad.pair_budget)
-    diff = nodes - pos
-    gw = (diff ** 2).sum(axis=1) * weights
-    cgw = posterior_covariance_product(gp, nodes, gw)
-    var = 0.25 * float(gw @ cgw)
+    xs, ys, weights = _block_nodes(cell, quad.pair_budget)
+    dx, dy = xs - px, ys - py
+    gw = weights * np.add.outer(dy * dy, dx * dx)
+    cgw = lattice_posterior_covariance_product(gp, xs, ys, gw)
+    var = 0.25 * float(np.sum(gw * cgw))
     std = float(np.sqrt(max(var, 0.0)))
     if std < STD_FLOOR:
         return std, np.zeros(2)
-    return std, -(diff * (weights * cgw)[:, None]).sum(axis=0) / (2.0 * std)
+    cgw *= weights
+    return std, -np.array([cgw.sum(axis=0) @ dx, cgw.sum(axis=1) @ dy]) / (2.0 * std)
 
 
 def mass_centroid(partition: VoronoiPartition,

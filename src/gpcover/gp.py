@@ -12,12 +12,14 @@ costs one kernel column instead of a kernel block against every chosen point.
 Queries on a pixel grid go through :func:`lattice_posterior_mean`: the SE
 kernel factors per axis there, so the mean over a lattice of pixel centres is a
 product of per-axis factors (exact Kronecker structure, no interpolation),
-taken in row blocks small enough that BLAS runs each on one thread and the
-result does not depend on the thread count. The expected cost sums it per axis
+taken in blocks small enough that BLAS runs each on one thread, and never as a
+GEMV, so that the result does not depend on the thread count. The expected cost sums it per axis
 on a cell's bounding box, and the rmse metric reads its strided lattice; both
 agree with :func:`posterior_mean`, which serves any query points, to rounding.
-The covariance is read only through :func:`posterior_covariance_product`, a
-product with a vector (the exploration term's) or with the identity (dense).
+The covariance is read only through :func:`lattice_posterior_covariance_product`,
+its product with a grid on a lattice (the exploration term's), from the same
+per-axis factors: ``sv * Ey g Ex`` for the prior part and the mean's product
+for the inducing correction (Saatci 2012; Wilson & Nickisch 2015).
 """
 
 from __future__ import annotations
@@ -45,10 +47,6 @@ _LOG_BOUND = 40.0
 # A threaded GEMM splits the output differently with the thread count, and so
 # rounds differently; blocks below this bound give the same bits for any count.
 _SERIAL_GEMM_MACS = 65536 * 4
-
-# posterior_covariance_product takes ``Kqq`` this many rows at a time; blocks start
-# at multiples of 64, where a row-blocked GEMV gives the one-table GEMV's bits
-_NODE_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -181,24 +179,6 @@ def posterior_mean(gp: SparseGP, query) -> np.ndarray:
     return gp.hyper.prior_mean + kq @ gp.weights
 
 
-def posterior_covariance_product(gp: SparseGP, query, v) -> np.ndarray:
-    """Posterior covariance of the ``(k, 2)`` query points times ``v``, ``(k,)`` or
-    ``(k, n)``: ``Kqq @ v - Kqz W^T W Kzq @ v``, without the k x k covariance.
-
-    ``Kqq`` is taken ``_NODE_BLOCK`` rows at a time; its bits equal the one-table
-    product's. ``v = np.eye(k)`` gives the dense covariance.
-    """
-    q = np.atleast_2d(np.asarray(query, dtype=float))
-    out = np.empty(np.shape(v))
-    for start in range(0, len(q), _NODE_BLOCK):
-        block = slice(start, start + _NODE_BLOCK)
-        out[block] = kernel_matrix(q[block], q, gp.hyper) @ v
-    if len(gp.points) > 0:
-        kq = kernel_matrix(q, gp.points, gp.hyper)
-        out -= kq @ (gp.whiten.T @ (gp.whiten @ (kq.T @ v)))
-    return out
-
-
 def _axis_factor(a: np.ndarray, b: np.ndarray, lengthscale: float) -> np.ndarray:
     """One axis's factor of the SE kernel, ``exp(-(a - b)^2 / 2l^2)``, ``(len(a), len(b))``.
     Swapping ``a`` and ``b`` gives the transpose bit for bit."""
@@ -207,16 +187,38 @@ def _axis_factor(a: np.ndarray, b: np.ndarray, lengthscale: float) -> np.ndarray
     return np.exp(out, out=out)
 
 
+def _serial_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` with bits that do not depend on the BLAS thread count.
+
+    It is taken in blocks of at most ``_SERIAL_GEMM_MACS`` multiply-adds, each
+    at least two rows by two columns wherever the product has them: numpy
+    hands a product with one row or one column to GEMV, which OpenBLAS
+    threads from about 9,000 entries. A block of one row or one column goes
+    through ``np.einsum``, which calls no BLAS.
+    """
+    (m, k), n = a.shape, b.shape[1]
+    out = np.empty((m, n))
+    cols = min(n, max(2, _SERIAL_GEMM_MACS // (2 * k)))
+    rows = max(2, _SERIAL_GEMM_MACS // (k * cols))
+    for c in range(0, n, cols):
+        for r in range(0, m, rows):
+            block = out[r:r + rows, c:c + cols]
+            if min(block.shape) > 1:
+                np.matmul(a[r:r + rows], b[:, c:c + cols], out=block)
+            else:
+                np.einsum("ij,jk->ik", a[r:r + rows], b[:, c:c + cols], out=block)
+    return out
+
+
 def lattice_posterior_mean(gp: SparseGP, xs, ys) -> np.ndarray:
     """Posterior mean on the lattice ``xs x ys``, flattened row-major ``(len(ys) * len(xs),)``.
 
     Point ``j * len(xs) + i`` is ``(xs[i], ys[j])``, the order of
     ``np.meshgrid(xs, ys)`` raveled. The SE kernel factors per axis,
     ``K(q, z) = sv * ex[i] * ey[j]``, so the mean is ``prior_mean +
-    (ey * sv * weights) @ ex.T``, taken in row blocks of at most
-    ``_SERIAL_GEMM_MACS`` multiply-adds so that its bits do not depend on the
-    BLAS thread count, each against ``ex.T`` built C-contiguous (faster than a
-    transposed view). Agrees with :func:`posterior_mean` to rounding.
+    (ey * sv * weights) @ ex.T``, one :func:`_serial_product` against ``ex.T``
+    built C-contiguous (faster than a transposed view). Agrees with
+    :func:`posterior_mean` to rounding.
     """
     xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
     hyper = gp.hyper
@@ -225,12 +227,39 @@ def lattice_posterior_mean(gp: SparseGP, xs, ys) -> np.ndarray:
     ext = _axis_factor(gp.points[:, 0], xs, hyper.lengthscale)
     ey = _axis_factor(ys, gp.points[:, 1], hyper.lengthscale)
     ey *= hyper.signal_variance * gp.weights
-    mean = np.empty((len(ys), len(xs)))
-    rows = max(1, _SERIAL_GEMM_MACS // (len(xs) * len(gp.weights)))
-    for r in range(0, len(ys), rows):
-        np.matmul(ey[r:r + rows], ext, out=mean[r:r + rows])
+    mean = _serial_product(ey, ext)
     mean += hyper.prior_mean
     return mean.ravel()
+
+
+def lattice_posterior_covariance_product(gp: SparseGP, xs, ys, g) -> np.ndarray:
+    """Posterior covariance on the non-empty lattice ``xs x ys`` times the grid ``g``.
+
+    ``g`` is ``(len(ys), len(xs))``, one value per lattice point in the order
+    of :func:`lattice_posterior_mean`, and so is the result, ``Kqq g - Kqz
+    W^T W Kzq g``. On the lattice ``Kqq g = sv * Ey g Ex`` with ``Ex`` and
+    ``Ey`` the per-axis factors of the lattice against itself, ``Kzq g = sv *
+    sum_ij ey[j] g[j, i] ex[i]``, and ``Kqz u`` is the product that
+    :func:`lattice_posterior_mean` takes with ``u`` in place of the mean
+    weights. No ``(k, k)`` table is built. Every product is a
+    :func:`_serial_product` or an ``np.einsum``, so the bits do not depend
+    on the BLAS thread count.
+    """
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    g = np.asarray(g, dtype=float).reshape(len(ys), len(xs))
+    hyper = gp.hyper
+    out = _serial_product(_serial_product(_axis_factor(ys, ys, hyper.lengthscale), g),
+                          _axis_factor(xs, xs, hyper.lengthscale))
+    out *= hyper.signal_variance
+    if len(gp.points) > 0:
+        ext = _axis_factor(gp.points[:, 0], xs, hyper.lengthscale)
+        ey = _axis_factor(ys, gp.points[:, 1], hyper.lengthscale)
+        kzg = np.einsum("jm,jm->m", ey, _serial_product(g, ext.T))
+        kzg *= hyper.signal_variance
+        u = np.einsum("ji,j->i", gp.whiten, np.einsum("ij,j->i", gp.whiten, kzg))
+        ey *= hyper.signal_variance * u
+        out -= _serial_product(ey, ext)
+    return out
 
 
 def smw_extend(inverse: np.ndarray, points, new_point, hyper: Hyperparams) -> np.ndarray:

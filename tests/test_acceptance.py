@@ -34,13 +34,12 @@ from gpcover import (
     expected_cost,
     greedy_select,
     merge_inducing,
-    posterior_covariance_product,
     posterior_mean,
     run,
     run_lloyd_baseline,
     variance_cost,
 )
-from gpcover.gp import lattice_posterior_mean
+from gpcover.gp import lattice_posterior_covariance_product, lattice_posterior_mean
 
 
 def criterion(number, name, limit_s):
@@ -133,10 +132,12 @@ def test_sparse_posterior_matches_dense_oracle():
 
     ref_mean, ref_cov = oracles.dense_posterior(points, values, hyper, query)
     # the dense mean, the lattice mean that the expected cost and rmse read, and
-    # the covariance product of the identity
+    # the lattice covariance product that the exploration term reads, taken
+    # with each unit grid in turn: column j of the covariance
     for mean in (posterior_mean(gp, query), lattice_posterior_mean(gp, xs, ys)):
         np.testing.assert_allclose(mean, ref_mean, rtol=0.0, atol=1e-8)
-    cov = posterior_covariance_product(gp, query, np.eye(len(query)))
+    cov = np.column_stack([lattice_posterior_covariance_product(gp, xs, ys, unit.reshape(3, 3))
+                           .ravel() for unit in np.eye(len(query))])
     np.testing.assert_allclose(cov, ref_cov, rtol=0.0, atol=1e-8)
 
 

@@ -14,7 +14,7 @@ from gpcover import (Domain, Hyperparams, QuadratureSpec, SimConfig, SparseGP, b
                      kernel_matrix, mass_centroid, posterior_mean, run_lloyd_baseline,
                      true_locational_cost, variance_cost)
 from gpcover.density import DensityField, GaussianBlob, GaussianMixture, scenario_mixture
-from gpcover.cost import _pair_nodes, _picked, _share
+from gpcover.cost import _block_nodes, _picked, _share
 from gpcover.gp import _SERIAL_GEMM_MACS, _axis_factor, lattice_posterior_mean
 
 from oracles import brute_force_nearest, central_fd, cell_from_index, cell_index
@@ -55,40 +55,36 @@ def test_single_quadrature_weights_sum_to_cell_area():
             assert _share(cell, count) * count == pytest.approx(len(cell) * 0.25, rel=1e-12)
 
 
-def test_pair_quadrature_weights_sum_to_cell_area():
-    _, cell = _whole_grid_cell(20, 10)
-    for budget in (4, 17, 64, 199):
-        nodes, weights = _pair_nodes(cell, budget)
-        assert len(nodes) <= budget
-        assert weights.sum() == pytest.approx(200.0, rel=1e-12)
-
-
-def test_full_budget_uses_exact_pixel_area():
-    _, cell = _whole_grid_cell(6, 6, cell_size=0.5)
-    nodes, weights = _pair_nodes(cell, budget=36)
-    assert len(nodes) == 36
-    assert np.all(weights == 0.25)
-
-
-def test_pair_picks_are_strictly_increasing_from_first_to_last():
-    # above the budget the linspace step exceeds 1, so rounding never repeats a
-    # pick: every budget from 4 to 1024, at node counts just above it, at twice
-    # and three times it, and at random counts up to 2**31
-    rng = np.random.default_rng(23)
-    for budget in range(4, 1025):
-        counts = [budget + 1, budget + 2, budget + 3, 2 * budget - 1, 2 * budget,
-                  2 * budget + 1, 3 * budget - 1, 3 * budget + 1, 2 ** 31 - 1, 2 ** 31]
-        counts += rng.integers(budget + 1, 2 ** 31, size=11, endpoint=True).tolist()
-        for k in counts:
-            picks = np.round(np.linspace(0, k - 1, budget)).astype(np.int64)
-            assert picks[0] == 0 and picks[-1] == k - 1, (budget, k)
-            assert np.all(np.diff(picks) > 0), (budget, k)
-    # and _pair_nodes takes exactly those pixels of a cell, budget of them
-    for width, height, budget in ((20, 10, 4), (20, 10, 199), (13, 7, 90), (64, 64, 256)):
-        _, cell = _whole_grid_cell(width, height)
-        nodes, _ = _pair_nodes(cell, budget)
-        picks = np.round(np.linspace(0, len(cell) - 1, budget)).astype(np.int64)
-        np.testing.assert_array_equal(nodes, cell.centers[picks])
+def test_block_node_weights_sum_to_cell_area():
+    # the least stride whose lattice product fits the budget, nodes at the
+    # blocks' mean pixel centres, the blocks' pixel counts summing to the
+    # cell's, and at stride 1 every box pixel a node
+    rng = np.random.default_rng(19)
+    domain = Domain(37, 23, cell_size=0.5)
+    part = compute_partition(rng.uniform([0, 0], [18.5, 11.5], size=(3, 2)), domain)
+    cells = [cell_pixels(part, i, domain) for i in range(3)]
+    cells += [_whole_grid_cell(20, 10)[1], cell_from_index([5 * 37 + 4], domain),
+              cell_from_index(np.arange(3 * 37 + 2, 3 * 37 + 35), domain)]
+    for cell in cells:
+        rows, columns = cell.mask.shape
+        bx, by = cell.axis_centers()
+        for budget in (4, 17, 64, 199, 256, 10_000):
+            stride = next(s for s in range(1, max(rows, columns) + 1)
+                          if math.ceil(rows / s) * math.ceil(columns / s)
+                          * (math.ceil(rows / s) + math.ceil(columns / s)) <= budget ** 2)
+            xs, ys, weights = _block_nodes(cell, budget)
+            np.testing.assert_allclose(xs, [bx[i:i + stride].mean()
+                                            for i in range(0, columns, stride)], rtol=1e-15)
+            np.testing.assert_allclose(ys, [by[j:j + stride].mean()
+                                            for j in range(0, rows, stride)], rtol=1e-15)
+            np.testing.assert_array_equal(weights, [
+                [cell.pixel_area * np.count_nonzero(cell.mask[j:j + stride, i:i + stride])
+                 for i in range(0, columns, stride)] for j in range(0, rows, stride)])
+            assert weights.sum() == pytest.approx(len(cell) * cell.pixel_area, rel=1e-12)
+            if stride == 1:
+                np.testing.assert_array_equal(xs, bx)
+                np.testing.assert_array_equal(ys, by)
+        assert _block_nodes(cell, 10_000)[2].shape == cell.mask.shape
 
 
 def _dense_nodes(cell, idx):
@@ -107,11 +103,10 @@ def _dense_expected(cell, pos, gp, stride):
 
 
 def _dense_std(cell, pos, gp, budget):
-    """The exploration term through the full posterior covariance of the pair nodes."""
-    k = len(cell)
-    idx = np.arange(k) if k <= budget else \
-        np.unique(np.round(np.linspace(0, k - 1, budget)).astype(np.int64))
-    nodes, weights = _dense_nodes(cell, idx)
+    """The exploration term through the full posterior covariance of the block nodes."""
+    xs, ys, weights = _block_nodes(cell, budget)
+    gx, gy = np.meshgrid(xs, ys)
+    nodes, weights = np.column_stack([gx.ravel(), gy.ravel()]), weights.ravel()
     diff = nodes - pos
     gw = (diff ** 2).sum(axis=1) * weights
     cov = kernel_matrix(nodes, nodes, gp.hyper)
@@ -152,7 +147,7 @@ def test_cost_terms_match_the_dense_formulas():
 
 def _per_axis_expected(cell, pos, gp, stride):
     """The expected term from per-axis moments, built from the cell's indices in
-    its whole domain: one box GEMM against a contiguous ``ex.T``, the clipped
+    its whole domain: one box product against a contiguous ``ex.T``, the clipped
     mean kept at the strided pixels by a 2-D index, its column sums as row
     adds in row order and its row sums one row at a time."""
     px, py = pos
@@ -166,7 +161,11 @@ def _per_axis_expected(cell, pos, gp, stride):
     ex = _axis_factor(bx, gp.points[:, 0], hyper.lengthscale)
     ey = _axis_factor(by, gp.points[:, 1], hyper.lengthscale)
     assert ex.size * rows <= _SERIAL_GEMM_MACS  # one GEMM block at these sizes
-    box = hyper.prior_mean + (ey * (hyper.signal_variance * gp.weights)) @ ex.T.copy()
+    factor, ext = ey * (hyper.signal_variance * gp.weights), ex.T.copy()
+    # numpy hands a one-row or one-column product to GEMV, which OpenBLAS
+    # threads, so the lattice takes those without BLAS
+    box = hyper.prior_mean + (np.einsum("ij,jk->ik", factor, ext) if 1 in (rows, columns)
+                              else factor @ ext)
     kept = np.zeros(box.shape)
     kept[iy - cell.y0, ix - cell.x0] = np.maximum(box, 0.0)[iy - cell.y0, ix - cell.x0]
     col = kept[0].copy()
@@ -259,35 +258,45 @@ def test_expected_cost_matches_the_dense_oracle_on_grid_shapes():
             assert np.all(np.abs(grad - ref_grad) <= 1e-12 * scale * offset.sum(axis=0))
 
 
-def _one_table_std(cell, pos, gp, budget):
-    """The exploration term with ``Kqq @ gw`` as one k x k table and one product."""
-    nodes, weights = _pair_nodes(cell, budget)
-    diff = nodes - pos
-    gw = (diff ** 2).sum(axis=1) * weights
-    cgw = kernel_matrix(nodes, nodes, gp.hyper) @ gw
-    if len(gp) > 0:
-        kq = kernel_matrix(nodes, gp.points, gp.hyper)
-        cgw -= kq @ (gp.whiten.T @ (gp.whiten @ (kq.T @ gw)))
-    std = float(np.sqrt(max(0.25 * float(gw @ cgw), 0.0)))
-    return std, -(diff * (weights * cgw)[:, None]).sum(axis=0) / (2.0 * std)
+def _every_pixel_std(cell, pos, gp):
+    """The exploration term over every pixel of the cell, from per-axis factors
+    of the whole box: ``sv * Ey gw Ex`` less the inducing correction."""
+    hyper = gp.hyper
+    bx, by = cell.axis_centers()
+    dx, dy = bx - pos[0], by - pos[1]
+    weights = cell.mask * cell.pixel_area
+    gw = weights * (dy[:, None] ** 2 + dx[None, :] ** 2)
+    cgw = hyper.signal_variance * (_axis_factor(by, by, hyper.lengthscale) @ gw
+                                   @ _axis_factor(bx, bx, hyper.lengthscale))
+    ex = _axis_factor(bx, gp.points[:, 0], hyper.lengthscale)
+    ey = _axis_factor(by, gp.points[:, 1], hyper.lengthscale)
+    u = gp.whiten.T @ gp.whiten @ np.einsum("jm,ji,im->m", ey, gw, ex)
+    cgw -= hyper.signal_variance ** 2 * (ey * u) @ ex.T
+    std = float(np.sqrt(0.25 * np.sum(gw * cgw)))
+    cgw *= weights
+    return std, -np.array([cgw.sum(axis=0) @ dx, cgw.sum(axis=1) @ dy]) / (2.0 * std)
 
 
-def test_variance_cost_is_bit_identical_to_the_one_table_product():
-    # variance_cost forms Kqq @ gw in blocks of node rows; the pin is exact
-    # at node counts below, at and around one block, and at the default budget
-    rng = np.random.default_rng(17)
-    for width, height in ((1, 1), (63, 1), (8, 8), (13, 5), (16, 16), (40, 25)):
-        domain, cell = _whole_grid_cell(width, height, cell_size=0.5)
-        quad = QuadratureSpec(pair_budget=256)
-        assert len(_pair_nodes(cell, 256)[0]) in (1, 63, 64, 65, 256)
-        for n_rows in (0, 5, 30):
-            gp = _seeded_gp(rng, domain, n=n_rows) if n_rows else \
-                SparseGP.fit(np.zeros((0, 3)), Hyperparams(3.0, 1.0, 0.05))
-            pos = rng.uniform([0, 0], [domain.world_width, domain.world_height])
-            std, grad = variance_cost(cell, pos, gp, quad)
-            ref_std, ref_grad = _one_table_std(cell, pos, gp, quad.pair_budget)
-            assert std == ref_std
-            assert np.array_equal(grad, ref_grad)
+def test_std_and_its_gradient_match_every_pixel_at_the_default_budget():
+    # the four cells of the benchmark's paper start (perfbench/workloads.py's
+    # PAPER_START) under a 60-row GP, and the same starts on the desk domain,
+    # a quarter the size, under the desk workload's lengthscale
+    start = np.array([[297.6, 151.2], [652.8, 178.2], [326.4, 383.4], [633.6, 372.6]])
+    for domain, scale, lengthscale in ((Domain(960, 540), 1.0, 21.6),
+                                       (Domain(240, 135), 0.25, 24.0)):
+        rng = np.random.default_rng(5)
+        span = [domain.world_width, domain.world_height]
+        rows = np.column_stack([rng.uniform([0, 0], span, size=(60, 2)),
+                                rng.uniform(-0.2, 1, 60)])
+        gp = SparseGP.fit(rows, Hyperparams(lengthscale, 1.0, 1e-3))
+        part = compute_partition(start * scale, domain)
+        for i, pos in enumerate(start * scale):
+            cell = cell_pixels(part, i, domain)
+            std, grad = variance_cost(cell, pos, gp, QuadratureSpec())
+            ref_std, ref_grad = _every_pixel_std(cell, pos, gp)
+            assert std == pytest.approx(ref_std, rel=0.01), (scale, i)
+            cos = grad @ ref_grad / (np.linalg.norm(grad) * np.linalg.norm(ref_grad))
+            assert cos >= math.cos(math.radians(2.0)), (scale, i)
 
 
 def test_expected_cost_zero_when_posterior_is_non_positive():

@@ -10,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from gpcover import (Domain, Hyperparams, SingularityError, SparseGP, greedy_select,
                      kernel_matrix, log_marginal_likelihood, merge_inducing,
-                     posterior_covariance_product, posterior_mean, refit_hyperparams,
-                     smw_extend)
-from gpcover.gp import _SERIAL_GEMM_MACS, lattice_posterior_mean
+                     posterior_mean, refit_hyperparams, smw_extend)
+from gpcover.gp import (_SERIAL_GEMM_MACS, _serial_product, lattice_posterior_covariance_product,
+                        lattice_posterior_mean)
 
 from oracles import dense_posterior, greedy_oracle, se_kernel_matrix
 
@@ -25,9 +25,18 @@ def _random_inducing(rng, n, span=5.0):
     return np.column_stack([pts, vals])
 
 
-def _covariance(gp, query):
-    """The dense posterior covariance: the covariance product of the identity."""
-    return posterior_covariance_product(gp, query, np.eye(len(query)))
+def _lattice(xs, ys):
+    """The ``(len(ys) * len(xs), 2)`` points of the lattice ``xs x ys``, row-major."""
+    gx, gy = np.meshgrid(xs, ys)
+    return np.column_stack([gx.ravel(), gy.ravel()])
+
+
+def _covariance(gp, xs, ys):
+    """The dense posterior covariance on the lattice ``xs x ys``: column j is the
+    lattice covariance product of the j-th unit grid."""
+    shape = (len(ys), len(xs))
+    return np.column_stack([lattice_posterior_covariance_product(gp, xs, ys, unit.reshape(shape))
+                            .ravel() for unit in np.eye(shape[0] * shape[1])])
 
 
 def test_kernel_at_zero_distance_is_signal_variance():
@@ -70,47 +79,60 @@ def test_empty_model_returns_the_prior():
     gp = SparseGP.fit(np.zeros((0, 3)), h)
     query = [[0.0, 0.0], [1.0, 1.0]]
     np.testing.assert_allclose(posterior_mean(gp, query), [0.7, 0.7])
-    cov = _covariance(gp, query)
-    np.testing.assert_array_equal(cov, kernel_matrix(query, query, h))
-    assert cov[0, 0] == cov[1, 1] == 3.0
+    cov = _covariance(gp, [0.0, 1.0], [0.0, 1.0])
+    lattice = _lattice([0.0, 1.0], [0.0, 1.0])
+    np.testing.assert_allclose(cov, kernel_matrix(lattice, lattice, h), rtol=1e-15, atol=0)
+    assert np.all(np.diag(cov) == 3.0)
 
 
 def test_noiseless_model_interpolates_its_data():
     h = Hyperparams(1.0, 2.0, 0.0)
     gp = SparseGP.fit([[0.0, 0.0, 1.5]], h)
     assert posterior_mean(gp, [[0.0, 0.0]])[0] == pytest.approx(1.5, abs=1e-12)
-    assert abs(_covariance(gp, [[0.0, 0.0]])[0, 0]) < 1e-12
+    assert abs(_covariance(gp, [0.0], [0.0])[0, 0]) < 1e-12
 
 
 def test_posterior_matches_dense_oracle():
     rng = np.random.default_rng(11)
     inducing = _random_inducing(rng, 5)
-    queries = rng.uniform(-5, 5, size=(9, 2))
+    xs, ys = rng.uniform(-5, 5, size=3), rng.uniform(-5, 5, size=3)
+    queries = _lattice(xs, ys)
     gp = SparseGP.fit(inducing, HYPER)
     ref_mean, ref_cov = dense_posterior(inducing[:, :2], inducing[:, 2], HYPER, queries)
     np.testing.assert_allclose(posterior_mean(gp, queries), ref_mean, atol=1e-10)
-    np.testing.assert_allclose(_covariance(gp, queries), ref_cov, atol=1e-10)
+    np.testing.assert_allclose(_covariance(gp, xs, ys), ref_cov, atol=1e-10)
 
 
 def test_covariance_product_is_the_dense_covariance_times_the_vector():
-    # 150 queries span three row blocks, the last one partial
+    # one point, one row, one column, an irregular lattice, and 14 x 11, whose
+    # products span several GEMM blocks at 230 inducing rows
     rng = np.random.default_rng(3)
-    for n in (0, 8):
-        inducing = _random_inducing(rng, n)
-        gp = SparseGP.fit(inducing, HYPER)
-        queries = rng.uniform(-5, 5, size=(150, 2))
-        if n:
-            _, ref_cov = dense_posterior(inducing[:, :2], inducing[:, 2], HYPER, queries)
-        else:
-            ref_cov = kernel_matrix(queries, queries, HYPER)
-        v = rng.normal(size=(150, 3))
-        product = posterior_covariance_product(gp, queries, v)
-        assert product.shape == (150, 3)
-        np.testing.assert_allclose(product, ref_cov @ v, rtol=0, atol=1e-9)
-        for j in range(3):
-            column = posterior_covariance_product(gp, queries, v[:, j])
-            assert column.shape == (150,)
-            np.testing.assert_allclose(column, product[:, j], rtol=0, atol=1e-12)
+    for nx, ny in ((1, 1), (9, 1), (1, 7), (13, 5), (14, 11)):
+        xs, ys = np.sort(rng.uniform(-5, 5, size=nx)), rng.uniform(-5, 5, size=ny)
+        queries = _lattice(xs, ys)
+        for n in (0, 8, 230):
+            inducing = _random_inducing(rng, n, span=8.0)
+            gp = SparseGP.fit(inducing, HYPER)
+            if n:
+                _, ref_cov = dense_posterior(inducing[:, :2], inducing[:, 2], HYPER, queries)
+            else:
+                ref_cov = kernel_matrix(queries, queries, HYPER)
+            g = rng.normal(size=(ny, nx))
+            product = lattice_posterior_covariance_product(gp, xs, ys, g)
+            assert product.shape == (ny, nx)
+            np.testing.assert_allclose(product.ravel(), ref_cov @ g.ravel(), rtol=0, atol=1e-9)
+
+
+def test_serial_product_is_the_product_in_blocks():
+    # column blocks (a long inner axis), a last block of one row or one column,
+    # one-row and one-column products, and an inner axis of one
+    rng = np.random.default_rng(29)
+    for m, k, n in ((300, 900, 500), (145, 300, 437), (1, 600, 700), (700, 600, 1),
+                    (5, 1, 6), (2, 2, 2), (301, 60, 961)):
+        a, b = rng.normal(size=(m, k)), rng.normal(size=(k, n))
+        np.testing.assert_allclose(_serial_product(a, b), a @ b, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(_serial_product(a, b.T.copy().T), a @ b,
+                                   rtol=1e-12, atol=1e-12)
 
 
 def test_lattice_posterior_mean_is_bit_identical_to_the_dense_mean():
@@ -213,7 +235,7 @@ def test_singular_gram_falls_back_to_the_first_jitter(monkeypatch):
 def test_posterior_variance_never_exceeds_prior(seed, n):
     rng = np.random.default_rng(seed)
     gp = SparseGP.fit(_random_inducing(rng, n), HYPER)
-    cov = _covariance(gp, rng.uniform(-6, 6, size=(5, 2)))
+    cov = _covariance(gp, rng.uniform(-6, 6, size=3), rng.uniform(-6, 6, size=2))
     assert np.all(np.diag(cov) <= HYPER.signal_variance + 1e-9)
     assert np.all(np.diag(cov) >= -1e-9)
 

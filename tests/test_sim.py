@@ -183,9 +183,11 @@ with open(sys.argv[1], "rb") as f:
 
 # the paper scale: the cost reports of the four cells of the benchmark's paper
 # start (perfbench/workloads.py's PAPER_START) under a 60-row GP, on boxes of
-# about 300 by 490 pixels in 32-39 GEMM blocks each, and a short run of the
-# paper workload; both moved with the thread count while the expected cost
-# reduced each cell's 130,000 pixels with 1-D products of that length
+# about 300 by 490 pixels in 32-39 GEMM blocks each, at the default pair budget
+# and at 1024, where the exploration term's lattice products are four times
+# the GEMM bound, and a short run of the paper workload; the report and the
+# run moved with the thread count while the expected cost reduced each cell's
+# 130,000 pixels with 1-D products of that length
 _PAPER_THREAD_PROBE = """
 import hashlib, sys
 import numpy as np
@@ -197,14 +199,31 @@ part = compute_partition(start, domain)
 rng = np.random.default_rng(5)
 rows = np.column_stack([rng.uniform([0, 0], [960, 540], size=(60, 2)), rng.uniform(-0.2, 1, 60)])
 gp = SparseGP.fit(rows, Hyperparams(21.6, 1.0, 1e-3))
-report = hashlib.sha256()
-for i, pos in enumerate(start):
-    r = cell_cost_report(cell_pixels(part, i, domain), pos, gp, QuadratureSpec(beta=2.0))
-    report.update(np.array([r.expected, r.std, *r.grad_expected, *r.grad_std]).tobytes())
+reports = []
+for budget in (256, 1024):
+    report = hashlib.sha256()
+    for i, pos in enumerate(start):
+        r = cell_cost_report(cell_pixels(part, i, domain), pos, gp,
+                             QuadratureSpec(pair_budget=budget, beta=2.0))
+        report.update(np.array([r.expected, r.std, *r.grad_expected, *r.grad_std]).tobytes())
+    reports.append(report.hexdigest())
 trace = run(SimConfig(rounds=20, seed=4, init_mode="explicit", explicit_positions=start))
 trace.to_csv(sys.argv[1])
 with open(sys.argv[1], "rb") as f:
-    print(report.hexdigest(), hashlib.sha256(f.read()).hexdigest())
+    print(*reports, hashlib.sha256(f.read()).hexdigest())
+"""
+
+
+# the benchmark's team workload (perfbench/workloads.py's TEAM): 12 cells a
+# round and hyperparameter refits, which the other two probes do not reach
+_TEAM_THREAD_PROBE = """
+import hashlib, sys
+from gpcover import SimConfig, run
+run(SimConfig(width=240, height=135, scenario="hotspots", n_agents=12, seed=4, rounds=20,
+              T=5, M=60, refit_steps=5, alpha=0.09, init_mode="cluster",
+              cluster_corner="ll")).to_csv(sys.argv[1])
+with open(sys.argv[1], "rb") as f:
+    print(hashlib.sha256(f.read()).hexdigest())
 """
 
 
@@ -217,9 +236,10 @@ def test_runs_are_bit_identical_under_one_and_two_blas_threads(tmp_path):
         csv = str(tmp_path / f"{threads}.csv")
         digests.append([subprocess.run([sys.executable, "-c", probe, csv], env=env,
                                        capture_output=True, text=True, check=True).stdout.split()
-                        for probe in (_THREAD_PROBE, _PAPER_THREAD_PROBE)])
+                        for probe in (_THREAD_PROBE, _PAPER_THREAD_PROBE, _TEAM_THREAD_PROBE)])
     assert digests[0][0] == digests[1][0], "desk"
     assert digests[0][1] == digests[1][1], "paper"
+    assert digests[0][2] == digests[1][2], "team"
 
 
 def test_refit_run_reproduces_its_recorded_numbers():
@@ -230,22 +250,22 @@ def test_refit_run_reproduces_its_recorded_numbers():
                        pair_budget=128, rmse_stride=16)
     trace = run(config)
     np.testing.assert_allclose(trace.true_cost, [
-        43680075.059832945, 35055829.33477037, 29734440.219142687, 31744844.478424624,
-        30272341.514998518, 31718441.84134607, 30187762.419174902, 30194774.706441477,
-        30328084.497387394, 31020801.043986358, 30034584.239149854, 31391415.878088757,
-        30224408.870196022, 31723177.250358887, 30056130.390507888, 32479156.10677703,
-        29833637.31434256, 32109185.799248017, 29683502.667298377, 32149403.19272884,
+        43633840.800980225, 35763474.70332304, 30697694.49198035, 28944520.492081195,
+        30377724.56357477, 28986404.915171184, 30045584.52743783, 29991945.180042274,
+        29748452.349743612, 29978029.354683608, 29689240.6306642, 30011614.042648192,
+        29685372.006494693, 30003639.27233816, 29682106.99586934, 30033749.89384339,
+        29682556.482739262, 30033111.880002268, 29684379.31069006, 30027433.690249152,
     ], rtol=1e-9)
     np.testing.assert_allclose(trace.rmse, [
         66.5861324907505, 66.58881360415154, 66.58964379787794, 66.59000683272352,
-        66.59018958170813, 64.53997095287527, 64.54606517274033, 64.5483170350374,
-        64.5493834100572, 64.5499659264336, 57.470077825529216, 57.46535927396721,
-        57.4643648279233, 57.46411733702478, 57.464037976629584, 51.594107472664106,
-        51.6065251715404, 51.61091903688499, 51.61285824712805, 51.613880666156646,
+        66.59018958170813, 63.889412861250456, 63.890203918165426, 63.8896451521055,
+        63.88909534738427, 63.88872170788467, 54.62808228468612, 54.63914953725707,
+        54.64156662920475, 54.6421018422727, 54.64223932505924, 47.09527016552687,
+        47.09023559514822, 47.0872881805668, 47.085566363988484, 47.08454464369652,
     ], rtol=1e-9)
     np.testing.assert_allclose(trace.positions[-1], [
-        [69.49611185170136, 38.223215896580804], [62.81006081297745, 14.663922925651342],
-        [23.703036366244294, 13.78393530963793], [27.45922614492184, 39.6076164965817],
+        [76.95391764100843, 35.40907064723221], [66.42044964017515, 12.45017222376005],
+        [16.324851584111983, 13.678787495472289], [22.474370178362776, 41.1260023518371],
     ], rtol=1e-9)
 
 
