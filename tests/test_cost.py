@@ -87,6 +87,29 @@ def test_block_node_weights_sum_to_cell_area():
         assert _block_nodes(cell, 10_000)[2].shape == cell.mask.shape
 
 
+def test_full_budget_uses_exact_pixel_area():
+    # a budget that reaches stride 1 makes every pixel of the box a node at
+    # pixel_area (zero off the cell), so the std is the every-pixel one
+    _, cell = _whole_grid_cell(6, 6, cell_size=0.5)
+    xs, ys, weights = _block_nodes(cell, budget=36)
+    assert weights.size == 36
+    assert np.all(weights == 0.25)
+    domain = Domain(30, 22, cell_size=0.5)
+    part = compute_partition([[3.0, 4.0], [11.0, 6.5], [7.5, 9.0]], domain)
+    gp = _seeded_gp(np.random.default_rng(29), domain)
+    for i, pos in enumerate([[3.0, 4.0], [11.0, 6.5], [7.5, 9.0]]):
+        cell = cell_pixels(part, i, domain)
+        xs, ys, weights = _block_nodes(cell, FULL.pair_budget)
+        bx, by = cell.axis_centers()
+        np.testing.assert_array_equal(xs, bx)
+        np.testing.assert_array_equal(ys, by)
+        np.testing.assert_array_equal(weights, cell.mask * cell.pixel_area)
+        std, grad = variance_cost(cell, np.array(pos), gp, FULL)
+        ref_std, ref_grad = _every_pixel_std(cell, np.array(pos), gp)
+        assert std == pytest.approx(ref_std, rel=1e-9)
+        np.testing.assert_allclose(grad, ref_grad, rtol=1e-7, atol=1e-9 * ref_std)
+
+
 def _dense_nodes(cell, idx):
     k = len(cell)
     weight = cell.pixel_area if len(idx) == k else k * cell.pixel_area / len(idx)
